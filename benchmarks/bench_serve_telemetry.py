@@ -20,7 +20,9 @@ bench exercises the surface end-to-end and gates the cost:
     against ``schemas/obs_timeseries.schema.json``.
 
   Two gates, both against the committed baseline (``entries[0]`` of
-  ``benchmarks/results/BENCH_serve_telemetry.json``):
+  ``benchmarks/results/BENCH_serve_telemetry.json``). A missing
+  baseline fails both gates; the failing run is written to the file as
+  a candidate baseline to review and commit:
 
   - **Regression tracking** — the warm served round trip, normalized
     by a direct in-process ``service.predict`` of the same cached
@@ -338,23 +340,32 @@ def test_serve_telemetry_and_overhead_gate():
               "3% gate (both sides share the dominant code path, so "
               "machine speed and scheduler noise cancel)")
 
-    if baseline is not None:
-        limit = baseline["served_over_inprocess"] * REGRESSION_HEADROOM
-        assert ratio <= limit, (
-            f"served-predict overhead regressed: served/in-process "
-            f"{ratio:.3f} exceeds committed baseline "
-            f"{baseline['served_over_inprocess']} by more than "
-            f"{REGRESSION_HEADROOM}x")
-        if not obs.enabled():
-            obs_limit = (baseline["dispatch_over_predict"]
-                         * OBS_DISABLED_HEADROOM)
-            assert dispatch_over_predict <= obs_limit, (
-                f"disabled telemetry is taxing the request path: "
-                f"dispatch/predict {dispatch_over_predict:.4f} exceeds "
-                f"committed baseline "
-                f"{baseline['dispatch_over_predict']} by more than "
-                f"{OBS_DISABLED_HEADROOM}x — request-scoped telemetry "
-                f"must be free when off")
+    if baseline is None:
+        # A gate with nothing to compare against is no gate: record this
+        # run as the candidate baseline (so it can be reviewed and
+        # committed), but fail rather than pass unchecked.
+        _record(entry)
+        obs.reset()
+        raise AssertionError(
+            f"no committed baseline in {BENCH_FILE.name}: both telemetry "
+            f"gates need entries[0]; this run was written there as a "
+            f"candidate baseline — commit it to arm the gates")
+    limit = baseline["served_over_inprocess"] * REGRESSION_HEADROOM
+    assert ratio <= limit, (
+        f"served-predict overhead regressed: served/in-process "
+        f"{ratio:.3f} exceeds committed baseline "
+        f"{baseline['served_over_inprocess']} by more than "
+        f"{REGRESSION_HEADROOM}x")
+    if not obs.enabled():
+        obs_limit = (baseline["dispatch_over_predict"]
+                     * OBS_DISABLED_HEADROOM)
+        assert dispatch_over_predict <= obs_limit, (
+            f"disabled telemetry is taxing the request path: "
+            f"dispatch/predict {dispatch_over_predict:.4f} exceeds "
+            f"committed baseline "
+            f"{baseline['dispatch_over_predict']} by more than "
+            f"{OBS_DISABLED_HEADROOM}x — request-scoped telemetry "
+            f"must be free when off")
 
     # Record only passing runs.
     _record(entry)

@@ -10,8 +10,9 @@ regressions:
 * ``test_warm_predict_speedup_and_regression_gate`` measures a warm
   OPERATOR-granularity ``predict`` on the MT-NLG (8, 8, 35) plan — the
   structure-cache fast path (duration refill + compiled replay) — against
-  the pre-split cost of the same prediction (full graph rebuild + the
-  reference Algorithm-1 loop). It asserts the >= 3x speedup the
+  the pre-split cost of the same prediction (re-emitting the task
+  columns with ``GraphBuilder.assemble()`` + the reference Algorithm-1
+  loop over them). It asserts the >= 3x speedup the
   structure/timing split promises, appends the measurement to the perf
   trajectory in ``benchmarks/results/BENCH_sim_speed.json``, and fails
   if the warm-predict latency regressed more than 25 % against the
@@ -47,7 +48,7 @@ from repro import obs
 from repro.config.presets import (MT_NLG_530B, MT_NLG_BASELINE_PLANS,
                                   MT_NLG_TRAINING)
 from repro.config.system import multi_node
-from repro.graph.builder import Granularity
+from repro.graph.builder import Granularity, GraphBuilder
 from repro.sim.engine import (simulate_reference, simulate_retimed,
                               simulate_retimed_batch)
 from repro.sim.estimator import VTrain
@@ -174,12 +175,15 @@ def test_warm_predict_speedup_and_regression_gate():
         MT_NLG_530B, PLAN, MT_NLG_TRAINING)) for _ in range(rounds))
     assert vtrain.last_predict_timing.structure_cache_hit
 
-    # What the same warm prediction cost before the split: rebuild the
-    # ExecutionGraph from scratch, replay it with the reference engine.
+    # What the same warm prediction cost before the split: re-emit the
+    # task columns from scratch (builder + assemble(), no compile) and
+    # replay them with the reference engine.
     tick = time.perf_counter()
-    graph = vtrain.build_graph(MT_NLG_530B, PLAN, MT_NLG_TRAINING)
+    tasks = GraphBuilder(MT_NLG_530B, vtrain.system, PLAN, MT_NLG_TRAINING,
+                         vtrain.lookup, vtrain.nccl,
+                         vtrain.granularity).assemble()
     build_s = time.perf_counter() - tick
-    replay_s = min(_timed(lambda: simulate_reference(graph))
+    replay_s = min(_timed(lambda: simulate_reference(tasks, PLAN.pipeline))
                    for _ in range(rounds))
     reference_s = build_s + replay_s
 
@@ -187,7 +191,7 @@ def test_warm_predict_speedup_and_regression_gate():
     ratio = warm_s / reference_s
     entry = {
         "quick": QUICK,
-        "tasks": len(graph),
+        "tasks": len(tasks),
         "warm_predict_s": round(warm_s, 6),
         "reference_s": round(reference_s, 6),
         "speedup": round(speedup, 3),
@@ -201,7 +205,7 @@ def test_warm_predict_speedup_and_regression_gate():
                          baseline["warm_over_reference"] if baseline
                          else entry["warm_over_reference"]}],
                notes="warm = memory check + duration refill + compiled "
-                     "replay; reference = graph rebuild + reference "
+                     "replay; reference = assemble() + reference "
                      "Algorithm-1 loop (the pre-split warm-predict cost)")
 
     assert speedup >= MIN_SPEEDUP, (

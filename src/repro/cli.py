@@ -57,7 +57,7 @@ from repro.dse.space import SearchSpace
 from repro.errors import ReproError
 from repro.graph.builder import Granularity, structure_cache_stats
 from repro.obs.export import combined_trace, write_trace
-from repro.sim.estimator import VTrain
+from repro.sim.estimator import VTrain, training_estimate
 
 GIB = float(1 << 30)
 
@@ -413,9 +413,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         print(f"trace            : wrote "
               f"{len(payload['traceEvents'])} events to {args.trace}")
     if description.training.total_tokens:
-        estimate = vtrain.estimate_training(description.model,
-                                            description.plan,
-                                            description.training)
+        estimate = training_estimate(description.model, description.plan,
+                                     description.training, prediction)
         print(f"iterations       : {estimate.num_iterations:,}")
         print(f"training time    : {estimate.total_days:.2f} days")
         print(f"cost             : ${estimate.dollars_total:,.0f} "

@@ -14,8 +14,7 @@ from repro.graph.pipeline import (ScheduledChunk, gpipe_order,
                                   pipeline_bubble_fraction, schedule_order,
                                   warmup_forwards)
 from repro.graph.structure import (COMM_STREAM, COMPUTE_STREAM,
-                                   ExecutionGraph, FlatAssembler,
-                                   GraphAssembler, GraphStructure, TaskNode)
+                                   FlatAssembler, GraphStructure)
 
 __all__ = [
     "COMM_STREAM",
@@ -24,17 +23,14 @@ __all__ = [
     "CommOperator",
     "CommScope",
     "CompOperator",
-    "ExecutionGraph",
     "FlatAssembler",
     "Granularity",
-    "GraphAssembler",
     "GraphBuilder",
     "GraphStructure",
     "OpKind",
     "clear_structure_cache",
     "structure_cache_stats",
     "ScheduledChunk",
-    "TaskNode",
     "data_allreduce",
     "gpipe_order",
     "interleaved_order",

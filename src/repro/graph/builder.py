@@ -54,11 +54,9 @@ from repro.graph.operators import (CompOperator, OpKind,
 from repro.graph.pipeline import (FORWARD, ScheduledChunk,
                                   last_backward_micro_batch, schedule_order)
 from repro.graph.structure import (COMM_STREAM, COMPUTE_STREAM,
-                                   ExecutionGraph, FlatAssembler,
-                                   GraphAssembler, GraphStructure,
+                                   FlatAssembler, GraphStructure,
                                    KIND_COMPUTE, KIND_DP_COMM, KIND_PP_COMM,
-                                   KIND_TP_COMM, KIND_WEIGHT_UPDATE,
-                                   _AssemblerBase)
+                                   KIND_TP_COMM, KIND_WEIGHT_UPDATE)
 from repro.hardware.cluster import ClusterTopology
 from repro.profiling.lookup import OperatorToTaskTable
 from repro.profiling.nccl import NcclModel
@@ -639,27 +637,23 @@ class GraphBuilder:
     # ------------------------------------------------------------------
     # Graph construction
     # ------------------------------------------------------------------
-    def build(self) -> ExecutionGraph:
-        """Assemble and return the iteration's execution graph."""
-        asm = GraphAssembler()
+    def assemble(self) -> FlatAssembler:
+        """Emit the iteration's tasks into a fresh, uncompiled
+        :class:`FlatAssembler` (the reference engine's input)."""
+        asm = FlatAssembler()
         self._emit(asm)
-        graph = asm.finish(num_devices=self.plan.pipeline,
-                           metadata=self.graph_metadata())
-        return graph
+        return asm
 
     def compile(self) -> GraphStructure:
-        """Assemble the iteration directly into its compiled replay
-        structure (no :class:`TaskNode` graph is materialized).
+        """Assemble the iteration and compile its replay structure.
 
         The compiled structure carries timing-slot keys, so it can later
         be re-timed by any builder with the same :attr:`structure_key`.
         """
-        asm = FlatAssembler()
-        self._emit(asm)
-        return asm.compile(num_devices=self.plan.pipeline,
-                           metadata=self.graph_metadata())
+        return self.assemble().compile(num_devices=self.plan.pipeline,
+                                       metadata=self.graph_metadata())
 
-    def _emit(self, asm: _AssemblerBase) -> None:
+    def _emit(self, asm: FlatAssembler) -> None:
         if self.phase is not None:
             self._emit_inference(asm)
             return
@@ -700,7 +694,7 @@ class GraphBuilder:
         self._emit_pipeline_comm(asm, f_exit, f_entry, b_exit, b_entry)
         self._emit_gradient_sync(asm, b_exit, bucket_anchor, last_b)
 
-    def _emit_inference(self, asm: _AssemblerBase) -> None:
+    def _emit_inference(self, asm: FlatAssembler) -> None:
         """One inference phase: the pipelined forward pass, nothing else.
 
         Each stage issues its micro-batches' forward chunks in ascending
@@ -734,7 +728,7 @@ class GraphBuilder:
     # ------------------------------------------------------------------
     # Chunk emission
     # ------------------------------------------------------------------
-    def _emit_comp(self, asm: GraphAssembler, stage: int, op: CompOperator,
+    def _emit_comp(self, asm: FlatAssembler, stage: int, op: CompOperator,
                    label: str, kind: str | None = None,
                    deps: tuple[int, ...] = ()) -> tuple[int, int]:
         """Emit one computation operator; returns (entry, exit) task ids."""
@@ -759,7 +753,7 @@ class GraphBuilder:
                        slot=f"op:{op_key}")
         return node, node
 
-    def _emit_tp_allreduce(self, asm: GraphAssembler, stage: int,
+    def _emit_tp_allreduce(self, asm: FlatAssembler, stage: int,
                            label: str) -> int | None:
         """Inline tensor-parallel All-Reduce (sequential dependency)."""
         if self.tp_ar is None:
@@ -775,7 +769,7 @@ class GraphBuilder:
             return f"s{stage}/{phase}{mb}"
         return f"s{stage}/c{chunk}/{phase}{mb}"
 
-    def _emit_forward_chunk(self, asm: GraphAssembler, stage: int,
+    def _emit_forward_chunk(self, asm: FlatAssembler, stage: int,
                             unit: ScheduledChunk) -> tuple[int, int]:
         """Forward pass of one micro-batch chunk on one stage."""
         mb, chunk = unit.micro_batch, unit.chunk
@@ -811,7 +805,7 @@ class GraphBuilder:
             entry = first if entry is None else entry
         return entry, last
 
-    def _emit_backward_chunk(self, asm: GraphAssembler, stage: int,
+    def _emit_backward_chunk(self, asm: FlatAssembler, stage: int,
                              unit: ScheduledChunk, *, last_b: int,
                              layer_tails: dict[int, int],
                              bucket_anchor: dict[tuple[int, int], int],
@@ -906,7 +900,7 @@ class GraphBuilder:
             dur += self.lookup.duration_of(self.op_bwd_embed)
         return dur
 
-    def _emit_backward_stage(self, asm: GraphAssembler, stage: int,
+    def _emit_backward_stage(self, asm: FlatAssembler, stage: int,
                              unit: ScheduledChunk, last_b: int,
                              bucket_anchor: dict[tuple[int, int], int],
                              ) -> tuple[int, int]:

@@ -1,19 +1,15 @@
 """Execution-graph data structures shared by all granularities.
 
-An :class:`ExecutionGraph` is a DAG of :class:`TaskNode` objects. Nodes
-carry a device (a logical pipeline stage), a stream (``compute`` or
-``comm`` — modelling CUDA streams so DP All-Reduce can overlap backward
-compute, Figure 5a), a duration, and a kind tag used for time-breakdown
+A :class:`FlatAssembler` accumulates the task DAG of one iteration as
+flat per-attribute columns indexed by task id. A task carries a device
+(a logical pipeline stage), a stream (``compute`` or ``comm`` —
+modelling CUDA streams so DP All-Reduce can overlap backward compute,
+Figure 5a), a duration, and a kind tag used for time-breakdown
 reporting. Edges encode both data dependencies and the paper's explicit
 intra-GPU execution-order constraints (Section III-B).
 
-The structure is deliberately lightweight (plain lists, integer node ids)
-because Figure-10-scale design-space sweeps simulate hundreds of graphs;
-:meth:`ExecutionGraph.to_networkx` exports to networkx for analysis and
-tests.
-
 **Structure/timing split.** A :class:`GraphStructure` is the *compiled*
-form of an execution graph: every per-task attribute flattened into
+form of the assembled columns: every per-task attribute flattened into
 CSR-style arrays, renumbered into the replay order Algorithm 1's FIFO
 queue would visit (which is purely structural — task durations never
 influence it), with the per-task duration vector kept separate. Replays
@@ -27,10 +23,8 @@ without rebuilding or re-sorting anything.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import SimulationError
@@ -49,48 +43,38 @@ ALL_KINDS = (KIND_COMPUTE, KIND_TP_COMM, KIND_DP_COMM, KIND_PP_COMM,
              KIND_WEIGHT_UPDATE)
 
 
-@dataclass
-class TaskNode:
-    """One schedulable unit of work (a task in Algorithm 1).
+class FlatAssembler:
+    """Incrementally assembles an iteration's task DAG as flat columns.
 
-    Attributes:
-        task_id: Index of this node in the graph's node list.
-        device: Logical device (pipeline-stage index) executing the task.
-        stream: ``compute`` or ``comm`` stream on that device.
-        duration: Execution latency in seconds.
-        kind: Category tag (see module constants).
-        label: Human-readable name for traces and debugging.
-        children: Task ids that depend on this task.
-        num_parents: In-degree (Algorithm 1's initial ``ref`` count).
-        payload: Optional reference to the originating operator/kernel.
-    """
+    Task ``i``'s attributes live at index ``i`` of the parallel
+    ``device``/``stream``/``duration``/``kind``/``label``/``payload``/
+    ``slots`` lists; ``children[i]`` lists its dependents in edge order
+    and ``num_parents[i]`` is its in-degree (Algorithm 1's initial
+    ``ref`` count). :meth:`compile` turns the columns into a
+    :class:`GraphStructure`; the reference engine
+    (:func:`~repro.sim.engine.simulate_reference`) replays them as-is.
 
-    task_id: int
-    device: int
-    stream: str
-    duration: float
-    kind: str
-    label: str
-    children: list[int] = field(default_factory=list)
-    num_parents: int = 0
-    payload: Any = None
-
-
-class _AssemblerBase:
-    """Shared add/link/chain logic of the two assemblers.
-
-    Both assemblers must wire identical edges in identical order (the
-    replay order — and therefore bit-identical results — depends on it),
-    so the dependency bookkeeping lives here and subclasses only decide
-    how a task is *stored*: as a :class:`TaskNode`
-    (:class:`GraphAssembler`, producing an :class:`ExecutionGraph`) or
-    as flat per-attribute columns (:class:`FlatAssembler`, producing a
-    :class:`GraphStructure` without ever materializing node objects).
+    Tracks the tail of every (device, stream) chain so consecutive tasks
+    on one stream serialise via explicit edges — the paper's "execution
+    order within each GPU must be modeled" requirement. Task ids and
+    edge order are the replay contract: the FIFO replay order, and
+    therefore every result bit, depends on them.
     """
 
     def __init__(self) -> None:
+        self.device: list[int] = []
+        self.stream: list[str] = []
+        self.duration: list[float] = []
+        self.kind: list[str] = []
+        self.label: list[str] = []
+        self.payload: list[Any] = []
         self.slots: list[str | None] = []
+        self.children: list[list[int]] = []
+        self.num_parents: list[int] = []
         self._chain_tail: dict[tuple[int, str], int] = {}
+
+    def __len__(self) -> int:
+        return len(self.device)
 
     def add(self, device: int, stream: str, duration: float, kind: str,
             label: str, *, deps: Iterable[int] = (), chain: bool = True,
@@ -109,9 +93,16 @@ class _AssemblerBase:
         """
         if duration < 0:
             raise SimulationError(f"negative duration for task {label!r}")
-        task_id = self._append(device, stream, duration, kind, label,
-                               payload)
+        task_id = len(self.device)
+        self.device.append(device)
+        self.stream.append(stream)
+        self.duration.append(duration)
+        self.kind.append(kind)
+        self.label.append(label)
+        self.payload.append(payload)
         self.slots.append(slot)
+        self.children.append([])
+        self.num_parents.append(0)
         parents: set[int] = set(deps)
         if chain:
             tail = self._chain_tail.get((device, stream))
@@ -126,85 +117,6 @@ class _AssemblerBase:
         """Latest task id on a stream, or None if the stream is empty."""
         return self._chain_tail.get((device, stream))
 
-    def _append(self, device: int, stream: str, duration: float, kind: str,
-                label: str, payload: Any) -> int:
-        raise NotImplementedError
-
-    def link(self, parent: int, child: int) -> None:
-        raise NotImplementedError
-
-
-class GraphAssembler(_AssemblerBase):
-    """Incrementally builds an :class:`ExecutionGraph`.
-
-    Tracks the tail of every (device, stream) chain so consecutive tasks
-    on one stream serialise via explicit edges — the paper's "execution
-    order within each GPU must be modeled" requirement.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.nodes: list[TaskNode] = []
-
-    def _append(self, device: int, stream: str, duration: float, kind: str,
-                label: str, payload: Any) -> int:
-        task_id = len(self.nodes)
-        self.nodes.append(TaskNode(task_id=task_id, device=device,
-                                   stream=stream, duration=duration,
-                                   kind=kind, label=label, payload=payload))
-        return task_id
-
-    def link(self, parent: int, child: int) -> None:
-        """Add a dependency edge parent -> child."""
-        if parent == child:
-            raise SimulationError("a task cannot depend on itself")
-        self.nodes[parent].children.append(child)
-        self.nodes[child].num_parents += 1
-
-    def finish(self, num_devices: int,
-               metadata: dict[str, Any] | None = None) -> "ExecutionGraph":
-        """Freeze the assembled nodes into an ExecutionGraph."""
-        return ExecutionGraph(nodes=self.nodes, num_devices=num_devices,
-                              metadata=dict(metadata or {}))
-
-
-class FlatAssembler(_AssemblerBase):
-    """Column-oriented assembler feeding :meth:`compile` directly.
-
-    Behaviourally identical to :class:`GraphAssembler` (same task ids,
-    same edges in the same order) but stores per-task attributes in
-    parallel lists, so compiling a :class:`GraphStructure` skips
-    :class:`TaskNode` allocation entirely — the builder's fast path when
-    the caller wants a compiled structure rather than a node graph.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.device: list[int] = []
-        self.stream: list[str] = []
-        self.duration: list[float] = []
-        self.kind: list[str] = []
-        self.label: list[str] = []
-        self.payload: list[Any] = []
-        self.children: list[list[int]] = []
-        self.num_parents: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self.device)
-
-    def _append(self, device: int, stream: str, duration: float, kind: str,
-                label: str, payload: Any) -> int:
-        task_id = len(self.device)
-        self.device.append(device)
-        self.stream.append(stream)
-        self.duration.append(duration)
-        self.kind.append(kind)
-        self.label.append(label)
-        self.payload.append(payload)
-        self.children.append([])
-        self.num_parents.append(0)
-        return task_id
-
     def link(self, parent: int, child: int) -> None:
         """Add a dependency edge parent -> child."""
         if parent == child:
@@ -212,21 +124,30 @@ class FlatAssembler(_AssemblerBase):
         self.children[parent].append(child)
         self.num_parents[child] += 1
 
-    def compile(self, num_devices: int,
-                metadata: dict[str, Any] | None = None) -> "GraphStructure":
-        """Compile the assembled columns into a :class:`GraphStructure`.
-
-        Raises:
-            SimulationError: Device out of range, or a dependency cycle
-                (reported with the reference engine's deadlock message).
-        """
-        num_tasks = len(self.device)
+    def check_devices(self, num_devices: int) -> None:
+        """Raise :class:`SimulationError` if a task runs on a device
+        outside ``range(num_devices)``."""
         for task_id, device in enumerate(self.device):
             if not 0 <= device < num_devices:
                 raise SimulationError(
                     f"task {task_id} ({self.label[task_id]!r}) runs on "
                     f"device {device}, outside the graph's "
                     f"{num_devices} devices")
+
+    def compile(self, num_devices: int,
+                metadata: dict[str, Any] | None = None) -> "GraphStructure":
+        """Compile the assembled columns into a :class:`GraphStructure`.
+
+        The structure carries timing-slot keys only when every task
+        recorded one; otherwise it replays but cannot
+        :meth:`~GraphStructure.retime` by slot.
+
+        Raises:
+            SimulationError: Device out of range, or a dependency cycle
+                (reported with the reference engine's deadlock message).
+        """
+        self.check_devices(num_devices)
+        num_tasks = len(self.device)
         order = _replay_order(self.children, self.num_parents)
         if len(order) != num_tasks:
             raise SimulationError(
@@ -260,99 +181,6 @@ def _replay_order(children: list[list[int]],
             if not remaining:
                 queue_push(child)
     return order
-
-
-@dataclass
-class ExecutionGraph:
-    """A frozen task DAG ready for Algorithm-1 replay."""
-
-    nodes: list[TaskNode]
-    num_devices: int
-    metadata: dict[str, Any] = field(default_factory=dict)
-    _compiled: "GraphStructure | None" = field(default=None, init=False,
-                                               repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.num_devices < 0:
-            raise SimulationError("num_devices must be non-negative")
-        for node in self.nodes:
-            if not 0 <= node.device < self.num_devices:
-                raise SimulationError(
-                    f"task {node.task_id} ({node.label!r}) runs on device "
-                    f"{node.device}, outside the graph's "
-                    f"{self.num_devices} devices")
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def compiled(self) -> "GraphStructure":
-        """The compiled replay form of this graph (built once, memoized).
-
-        Memoization freezes the *topology* at the first call — edges
-        added afterwards are not seen by later replays. Durations are
-        not frozen: :func:`~repro.sim.engine.simulate` re-reads them
-        from the nodes on every call, so mutating ``node.duration``
-        between replays (sensitivity studies) behaves exactly like the
-        reference engine.
-
-        Raises:
-            SimulationError: If the graph contains a dependency cycle.
-        """
-        if self._compiled is None:
-            self._compiled = GraphStructure.compile(self)
-        return self._compiled
-
-    @property
-    def num_edges(self) -> int:
-        """Total dependency-edge count."""
-        return sum(len(node.children) for node in self.nodes)
-
-    def roots(self) -> list[int]:
-        """Tasks with no dependencies (Algorithm 1's initial queue)."""
-        return [node.task_id for node in self.nodes if node.num_parents == 0]
-
-    def total_duration_by_kind(self) -> dict[str, float]:
-        """Sum of task durations per kind tag (all devices)."""
-        totals = {kind: 0.0 for kind in ALL_KINDS}
-        for node in self.nodes:
-            totals[node.kind] = totals.get(node.kind, 0.0) + node.duration
-        return totals
-
-    def device_durations(self) -> dict[int, float]:
-        """Sum of task durations per device (busy-time upper bound)."""
-        totals: dict[int, float] = {}
-        for node in self.nodes:
-            totals[node.device] = totals.get(node.device, 0.0) + node.duration
-        return totals
-
-    def validate_acyclic(self) -> None:
-        """Raise :class:`SimulationError` if the graph has a cycle."""
-        indegree = [node.num_parents for node in self.nodes]
-        stack = [i for i, deg in enumerate(indegree) if deg == 0]
-        visited = 0
-        while stack:
-            current = stack.pop()
-            visited += 1
-            for child in self.nodes[current].children:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    stack.append(child)
-        if visited != len(self.nodes):
-            raise SimulationError(
-                f"execution graph has a cycle ({visited}/{len(self.nodes)} "
-                "tasks reachable)")
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Export to a networkx DiGraph (tests and analysis)."""
-        graph = nx.DiGraph()
-        for node in self.nodes:
-            graph.add_node(node.task_id, device=node.device,
-                           stream=node.stream, duration=node.duration,
-                           kind=node.kind, label=node.label)
-        for node in self.nodes:
-            for child in node.children:
-                graph.add_edge(node.task_id, child)
-        return graph
 
 
 class GraphStructure:
@@ -446,46 +274,6 @@ class GraphStructure:
         self.slot_index = (np.array(slot_ids, dtype=np.intp)
                            if slot_ids is not None else None)
         self._batch_plan: BatchSweepPlan | None = None
-
-    @classmethod
-    def compile(cls, graph: ExecutionGraph,
-                slots: list[str | None] | None = None) -> "GraphStructure":
-        """Flatten ``graph`` into its compiled replay form.
-
-        (Builders that only need the compiled form should prefer a
-        :class:`FlatAssembler`, which skips node objects entirely.)
-
-        Args:
-            slots: Per-task timing-slot keys in *original* task order
-                (from :attr:`GraphAssembler.slots`); omit (or include
-                any ``None``) to compile a structure that replays but
-                cannot :meth:`retime` by slot.
-
-        Raises:
-            SimulationError: If the graph contains a dependency cycle
-                (reported with the reference engine's deadlock message).
-        """
-        nodes = graph.nodes
-        num_tasks = len(nodes)
-        children = [node.children for node in nodes]
-        order = _replay_order(children,
-                              [node.num_parents for node in nodes])
-        if len(order) != num_tasks:
-            raise SimulationError(
-                f"task graph deadlocked: {len(order)}/{num_tasks} tasks "
-                "executed (dependency cycle)")
-        return cls._from_columns(
-            order=order,
-            device=[node.device for node in nodes],
-            stream=[node.stream for node in nodes],
-            duration=[node.duration for node in nodes],
-            kind=[node.kind for node in nodes],
-            label=[node.label for node in nodes],
-            payload=[node.payload for node in nodes],
-            children=children,
-            slots=slots,
-            num_devices=graph.num_devices,
-            metadata=dict(graph.metadata))
 
     @classmethod
     def _from_columns(cls, *, order: list[int], device: list[int],

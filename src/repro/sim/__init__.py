@@ -5,13 +5,13 @@ from repro.sim.analysis import (DeviceProfile, critical_device,
                                 pipeline_bubble_time,
                                 stage_utilization_profile, summarize)
 from repro.sim.engine import (BatchSimulationResult, compute_idle_fraction,
-                              critical_path_length, simulate,
-                              simulate_reference, simulate_retimed,
-                              simulate_retimed_batch,
+                              critical_path_length, simulate_reference,
+                              simulate_retimed, simulate_retimed_batch,
                               stream_serialisation_check)
 from repro.sim.estimator import (PredictTiming, PreparedPlan, VTrain,
                                  cost_for_utilization,
-                                 training_days_for_utilization)
+                                 training_days_for_utilization,
+                                 training_estimate)
 from repro.sim.results import (IterationPrediction, SimulationResult,
                                TimelineEvent, TrainingEstimate)
 
@@ -34,10 +34,10 @@ __all__ = [
     "compute_idle_fraction",
     "cost_for_utilization",
     "critical_path_length",
-    "simulate",
     "simulate_reference",
     "simulate_retimed",
     "simulate_retimed_batch",
     "stream_serialisation_check",
     "training_days_for_utilization",
+    "training_estimate",
 ]

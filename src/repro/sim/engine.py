@@ -13,26 +13,28 @@ so a gradient-bucket All-Reduce's start time is bound only by its data
 dependency, letting it run concurrently with backward compute — exactly
 the behaviour line 12 of Algorithm 1 must "faithfully model".
 
-Two engines implement the algorithm:
+Two implementations of the algorithm exist:
 
-* :func:`simulate_reference` — the verbatim per-task Python loop over
-  :class:`~repro.graph.structure.TaskNode` objects, kept as the
-  executable specification and equivalence-test oracle.
-* :func:`simulate` / :func:`simulate_retimed` — the compiled engine.
-  The FIFO pop order of Algorithm 1 is purely structural (durations
-  never change which task is popped next), so it is precomputed once
-  when a graph is compiled into a
+* :func:`simulate_retimed` — the production engine. The FIFO pop order
+  of Algorithm 1 is purely structural (durations never change which
+  task is popped next), so it is precomputed once when a
+  :class:`~repro.graph.structure.FlatAssembler` is compiled into a
   :class:`~repro.graph.structure.GraphStructure`; replay is then a
   single array pass in that order — no dicts, no deque, no per-task
   object churn, :class:`~repro.sim.results.TimelineEvent` objects
-  materialized only when ``record_timeline=True``. Results are
-  bit-identical to the reference engine (same floating-point operations
-  in the same order; see ``tests/test_sim_equivalence.py``).
+  materialized only when ``record_timeline=True``.
+* :func:`simulate_reference` — the verbatim per-task Python loop over
+  the *uncompiled* assembler columns, kept as the executable
+  specification and equivalence-test oracle. It runs its own FIFO
+  queue over emission-order task ids and never touches a compiled
+  structure, so it checks the replay-order compilation rather than
+  sharing it. Results are bit-identical between the two (same
+  floating-point operations in the same order; see
+  ``tests/test_sim_equivalence.py``).
 
-Neither engine mutates the graph, so one built graph can be replayed
-many times — and one *compiled structure* can be replayed with many
-duration vectors (``simulate_retimed``), which is what design-space
-sweeps and perturbed-hardware studies exploit. When a consumer holds a
+Neither engine mutates its input, so one compiled structure can be
+replayed with many duration vectors, which is what design-space sweeps
+and perturbed-hardware studies exploit. When a consumer holds a
 whole *batch* of duration vectors for one structure — a group of
 structure-affine DSE candidates, K testbed perturbation samples, an
 alpha ablation's derating grid — :func:`simulate_retimed_batch` sweeps
@@ -47,48 +49,9 @@ from collections import deque
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.graph.structure import (COMPUTE_STREAM, ExecutionGraph,
+from repro.graph.structure import (COMPUTE_STREAM, FlatAssembler,
                                    GraphStructure)
 from repro.sim.results import SimulationResult, TimelineEvent
-
-
-def simulate(graph: ExecutionGraph | GraphStructure, *,
-             record_timeline: bool = False) -> SimulationResult:
-    """Estimate single-iteration training time from a task graph.
-
-    Compiles the graph into its :class:`GraphStructure` replay form
-    (memoized on the graph object) and replays it with the compiled
-    engine. Results are bit-identical to :func:`simulate_reference`.
-
-    Args:
-        graph: Execution graph from
-            :class:`~repro.graph.builder.GraphBuilder`, or an
-            already-compiled :class:`GraphStructure`.
-        record_timeline: Also record per-task (start, finish) events —
-            costs memory on large graphs, invaluable for tests and traces.
-
-    Returns:
-        A :class:`~repro.sim.results.SimulationResult` whose
-        ``iteration_time`` is the predicted single-iteration latency.
-
-    Raises:
-        SimulationError: If the graph contains a dependency cycle (some
-            tasks never become ready).
-    """
-    if isinstance(graph, GraphStructure):
-        return simulate_retimed(graph, record_timeline=record_timeline)
-    if len(graph.nodes) == 0:
-        raise SimulationError("cannot simulate an empty graph")
-    structure = graph.compiled()
-    # The compiled topology is memoized on the graph, but durations are
-    # re-read from the nodes every call: replaying one graph with
-    # scaled/mutated durations (sensitivity studies) must see the
-    # current values, exactly as the reference engine does.
-    nodes = graph.nodes
-    durations = [nodes[task].duration for task in structure.task_ids]
-    return simulate_retimed(structure, durations,
-                            record_timeline=record_timeline,
-                            metadata=graph.metadata)
 
 
 def simulate_retimed(structure: GraphStructure,
@@ -106,7 +69,7 @@ def simulate_retimed(structure: GraphStructure,
 
     Args:
         structure: Compiled topology
-            (:meth:`~repro.graph.structure.GraphStructure.compile` or
+            (:meth:`~repro.graph.structure.FlatAssembler.compile` or
             :meth:`~repro.graph.builder.GraphBuilder.compile`).
         durations: Per-task durations in *replay order* (as produced by
             :meth:`~repro.graph.structure.GraphStructure.retime`).
@@ -353,54 +316,76 @@ def simulate_retimed_batch(structure: GraphStructure,
                                  metadata=dict(source))
 
 
-def simulate_reference(graph: ExecutionGraph, *,
-                       record_timeline: bool = False) -> SimulationResult:
+def simulate_reference(tasks: FlatAssembler, num_devices: int, *,
+                       record_timeline: bool = False,
+                       metadata: dict | None = None) -> SimulationResult:
     """Reference Algorithm-1 implementation (per-task Python loop).
 
     Kept verbatim as the executable specification: the compiled engine
-    (:func:`simulate` / :func:`simulate_retimed`) must be bit-identical
-    to this on makespan, per-device timelines, busy accounting, and
-    recorded event order (property-tested in
-    ``tests/test_sim_equivalence.py``). Prefer :func:`simulate` for
-    anything performance-sensitive.
+    (:func:`simulate_retimed`) must be bit-identical to this on
+    makespan, per-device timelines, busy accounting, and recorded event
+    order (property-tested in ``tests/test_sim_equivalence.py``).
+
+    Reads the *uncompiled* assembler columns (``children``,
+    ``num_parents``, ``device``, ``stream``, ``duration``, ``kind``,
+    ``label``) and pops tasks from its own FIFO queue seeded in task-id
+    order — never a :class:`GraphStructure`, so it stays independent of
+    the replay-order compilation it checks. Prefer
+    :func:`simulate_retimed` for anything performance-sensitive.
+
+    Args:
+        tasks: Assembled (not compiled) task columns, e.g.
+            :meth:`~repro.graph.builder.GraphBuilder.assemble`.
+        num_devices: Devices the graph runs on.
+        record_timeline: Also record per-task events in pop order.
+        metadata: Attached to the result.
     """
-    nodes = graph.nodes
-    num_tasks = len(nodes)
+    children = tasks.children
+    num_parents = tasks.num_parents
+    devices = tasks.device
+    streams = tasks.stream
+    durations = tasks.duration
+    kinds = tasks.kind
+    labels = tasks.label
+    num_tasks = len(devices)
     if num_tasks == 0:
         raise SimulationError("cannot simulate an empty graph")
+    tasks.check_devices(num_devices)
 
-    ref = [node.num_parents for node in nodes]
+    ref = list(num_parents)
     start = [0.0] * num_tasks
-    queue: deque[int] = deque(node.task_id for node in nodes
-                              if node.num_parents == 0)
+    queue: deque[int] = deque(task_id for task_id in range(num_tasks)
+                              if num_parents[task_id] == 0)
 
     timeline: dict[int, float] = {device: 0.0
-                                  for device in range(graph.num_devices)}
+                                  for device in range(num_devices)}
     busy: dict[int, dict[str, float]] = {
-        device: {} for device in range(graph.num_devices)}
+        device: {} for device in range(num_devices)}
     events: list[TimelineEvent] | None = [] if record_timeline else None
     executed = 0
     makespan = 0.0
 
     while queue:
         task_id = queue.popleft()  # fetch a task in FIFO order
-        node = nodes[task_id]
+        device = devices[task_id]
+        duration = durations[task_id]
+        kind = kinds[task_id]
         task_start = start[task_id]
-        finish = task_start + node.duration
-        device_clock = timeline.get(node.device, 0.0)
-        timeline[node.device] = max(device_clock, finish)
+        finish = task_start + duration
+        device_clock = timeline.get(device, 0.0)
+        timeline[device] = max(device_clock, finish)
         makespan = max(makespan, finish)
         executed += 1
 
-        device_busy = busy.setdefault(node.device, {})
-        device_busy[node.kind] = device_busy.get(node.kind, 0.0) + node.duration
+        device_busy = busy.setdefault(device, {})
+        device_busy[kind] = device_busy.get(kind, 0.0) + duration
         if events is not None:
-            events.append(TimelineEvent(task_id=task_id, device=node.device,
-                                        stream=node.stream, kind=node.kind,
-                                        label=node.label, start=task_start,
-                                        finish=finish))
+            events.append(TimelineEvent(task_id=task_id, device=device,
+                                        stream=streams[task_id], kind=kind,
+                                        label=labels[task_id],
+                                        start=task_start, finish=finish))
 
-        for child in node.children:
+        for child in children[task_id]:
             if start[child] < finish:
                 start[child] = finish
             ref[child] -= 1
@@ -414,34 +399,39 @@ def simulate_reference(graph: ExecutionGraph, *,
 
     return SimulationResult(iteration_time=makespan, num_tasks=num_tasks,
                             device_timeline=timeline, device_busy=busy,
-                            events=events, metadata=dict(graph.metadata))
+                            events=events, metadata=dict(metadata or {}))
 
 
-def critical_path_length(graph: ExecutionGraph) -> float:
+def critical_path_length(tasks: FlatAssembler, num_devices: int) -> float:
     """Longest dependency chain (ignoring stream serialisation).
 
     A lower bound on the iteration time, useful as a simulation
-    cross-check: ``critical_path <= simulate(...).iteration_time``.
+    cross-check: ``critical_path <= simulate_retimed(...).iteration_time``.
+    Like :func:`simulate_reference`, it walks the uncompiled assembler
+    columns.
     """
-    nodes = graph.nodes
-    finish = [0.0] * len(nodes)
-    ref = [node.num_parents for node in nodes]
-    queue: deque[int] = deque(graph.roots())
+    children = tasks.children
+    durations = tasks.duration
+    num_tasks = len(durations)
+    tasks.check_devices(num_devices)
+    finish = [0.0] * num_tasks
+    ref = list(tasks.num_parents)
+    queue: deque[int] = deque(task_id for task_id in range(num_tasks)
+                              if ref[task_id] == 0)
     visited = 0
     best = 0.0
     while queue:
         task_id = queue.popleft()
-        node = nodes[task_id]
-        end = finish[task_id] + node.duration
+        end = finish[task_id] + durations[task_id]
         best = max(best, end)
         visited += 1
-        for child in node.children:
+        for child in children[task_id]:
             if finish[child] < end:
                 finish[child] = end
             ref[child] -= 1
             if ref[child] == 0:
                 queue.append(child)
-    if visited != len(nodes):
+    if visited != num_tasks:
         raise SimulationError("graph has a cycle; critical path undefined")
     return best
 
@@ -466,12 +456,12 @@ def compute_idle_fraction(result: SimulationResult) -> float:
     return sum(fractions) / len(fractions)
 
 
-def stream_serialisation_check(graph: ExecutionGraph,
-                               result: SimulationResult) -> bool:
+def stream_serialisation_check(result: SimulationResult) -> bool:
     """Verify no two compute tasks of one device overlap in a recorded
     timeline — the invariant the chain edges are meant to guarantee."""
     if result.events is None:
-        raise SimulationError("run simulate(record_timeline=True) first")
+        raise SimulationError(
+            "run simulate_retimed(record_timeline=True) first")
     by_device: dict[int, list[TimelineEvent]] = {}
     for event in result.events:
         if event.stream == COMPUTE_STREAM:

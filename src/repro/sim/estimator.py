@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import threading
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ from repro.errors import SimulationError
 from repro.graph.builder import (Granularity, GraphBuilder,
                                  structure_cache_evict, structure_cache_get,
                                  structure_cache_put)
-from repro.graph.structure import ExecutionGraph, GraphStructure
+from repro.graph.structure import GraphStructure
 from repro.hardware.kernels import DeviceModel
 from repro.memory.footprint import (MemoryFootprint, check_inference_memory,
                                     check_memory, inference_memory_footprint,
@@ -179,13 +180,6 @@ class VTrain:
     # ------------------------------------------------------------------
     # Graph construction
     # ------------------------------------------------------------------
-    def build_graph(self, model: ModelConfig, plan: ParallelismConfig,
-                    training: TrainingConfig) -> ExecutionGraph:
-        """Build the execution graph for one iteration of this plan."""
-        builder = GraphBuilder(model, self.system, plan, training,
-                               self.lookup, self.nccl, self.granularity)
-        return builder.build()
-
     def prepare(self, model: ModelConfig, plan: ParallelismConfig,
                 training: TrainingConfig | None, *,
                 workload: InferenceWorkload | None = None,
@@ -219,9 +213,16 @@ class VTrain:
             try:
                 with obs.span("duration_fill", tasks=structure.num_tasks):
                     durations = builder.fill_durations(structure)
-            except SimulationError:
+            except SimulationError as exc:
                 # Structural drift the fingerprint failed to capture:
-                # drop the stale entry and rebuild from scratch.
+                # drop the stale entry and rebuild from scratch. Count
+                # and warn, since a fingerprint that misses structure
+                # costs a full rebuild on every such predict.
+                obs.count("sim.structure_drift_rebuilds")
+                warnings.warn(
+                    f"cached structure for {key!r} does not match this "
+                    f"builder ({exc}); rebuilding",
+                    RuntimeWarning, stacklevel=2)
                 structure_cache_evict(key)
                 structure = None
                 cache_hit = False
@@ -511,25 +512,12 @@ class VTrain:
                           training: TrainingConfig, *,
                           pricing: PricingModel = DEFAULT_PRICING,
                           ) -> TrainingEstimate:
-        """End-to-end wall-clock time and dollar cost (Table I columns).
-
-        Total time = predicted iteration time x (total tokens / tokens
-        per iteration), as in Section III-E.
-        """
+        """End-to-end wall-clock time and dollar cost (Table I columns):
+        :meth:`predict` scaled to the whole run by
+        :func:`training_estimate`."""
         prediction = self.predict(model, plan, training)
-        iterations = training.num_iterations(model)
-        total_seconds = prediction.iteration_time * iterations
-        dollars_per_hour = pricing.dollars_per_hour(plan.total_gpus)
-        dollars_total = pricing.cost(plan.total_gpus, total_seconds)
-        return TrainingEstimate(
-            iteration_time=prediction.iteration_time,
-            num_iterations=iterations,
-            total_days=total_seconds / SECONDS_PER_DAY,
-            gpu_compute_utilization=prediction.gpu_compute_utilization,
-            num_gpus=plan.total_gpus,
-            dollars_per_hour=dollars_per_hour,
-            dollars_total=dollars_total,
-        )
+        return training_estimate(model, plan, training, prediction,
+                                 pricing=pricing)
 
     # ------------------------------------------------------------------
     # Profiling introspection (Section III-F)
@@ -546,6 +534,31 @@ class VTrain:
             "structure_cache_hits": self.structure_cache_hits,
             "structure_cache_misses": self.structure_cache_misses,
         }
+
+
+def training_estimate(model: ModelConfig, plan: ParallelismConfig,
+                      training: TrainingConfig,
+                      prediction: IterationPrediction, *,
+                      pricing: PricingModel = DEFAULT_PRICING,
+                      ) -> TrainingEstimate:
+    """Scale one predicted iteration to the whole run (Table I columns).
+
+    Total time = predicted iteration time x (total tokens / tokens per
+    iteration), as in Section III-E. Callers that already hold the
+    plan's :class:`IterationPrediction` use this directly instead of
+    :meth:`VTrain.estimate_training`, which replays the plan again.
+    """
+    iterations = training.num_iterations(model)
+    total_seconds = prediction.iteration_time * iterations
+    return TrainingEstimate(
+        iteration_time=prediction.iteration_time,
+        num_iterations=iterations,
+        total_days=total_seconds / SECONDS_PER_DAY,
+        gpu_compute_utilization=prediction.gpu_compute_utilization,
+        num_gpus=plan.total_gpus,
+        dollars_per_hour=pricing.dollars_per_hour(plan.total_gpus),
+        dollars_total=pricing.cost(plan.total_gpus, total_seconds),
+    )
 
 
 def training_days_for_utilization(model: ModelConfig, total_tokens: int,

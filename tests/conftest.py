@@ -15,6 +15,7 @@ from hypothesis import settings
 from repro.config.model import ModelConfig
 from repro.config.parallelism import ParallelismConfig, TrainingConfig
 from repro.config.system import multi_node, single_node
+from repro.graph.builder import GraphBuilder
 from repro.hardware.gpu import A100_80GB
 from repro.hardware.kernels import DeviceModel
 from repro.profiling.cupti import CuptiTracer
@@ -86,6 +87,21 @@ def nccl(node_system) -> NcclModel:
 def vtrain(node_system) -> VTrain:
     """A single-node vTrain simulator at operator granularity."""
     return VTrain(node_system)
+
+
+@pytest.fixture
+def assemble_plan():
+    """Factory for the uncompiled task columns a :class:`VTrain` would
+    compile for one training plan: ``assemble_plan(vtrain, model, plan,
+    training)`` returns ``(assembler, num_devices)``, the reference
+    engine's input."""
+    def assemble(simulator: VTrain, model: ModelConfig,
+                 plan: ParallelismConfig, training: TrainingConfig):
+        builder = GraphBuilder(model, simulator.system, plan, training,
+                               simulator.lookup, simulator.nccl,
+                               simulator.granularity)
+        return builder.assemble(), plan.pipeline
+    return assemble
 
 
 def plan_2x2x2() -> ParallelismConfig:

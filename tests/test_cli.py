@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,6 +51,23 @@ class TestPredict:
         assert "iteration time" in out
         assert "utilization" in out
         assert "training time" in out  # token budget present
+
+    def test_predict_with_token_budget_replays_once(
+            self, description_file, monkeypatch, capsys):
+        """The training-time/cost lines scale the prediction already
+        made; they must not replay the plan a second time."""
+        import repro.sim.estimator as estimator
+        replays = []
+        replay = estimator.simulate_retimed
+
+        def counting_replay(*args, **kwargs):
+            replays.append(args[0].num_tasks)
+            return replay(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "simulate_retimed", counting_replay)
+        assert main(["predict", str(description_file)]) == 0
+        assert "training time" in capsys.readouterr().out
+        assert len(replays) == 1
 
     def test_predict_without_token_budget(self, tmp_path, tiny_model,
                                           capsys):
@@ -133,6 +153,18 @@ class TestPredict:
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         assert main(["predict", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_networkx():
+    """networkx is not a dependency: importing the CLI (and everything
+    it pulls in) must not load it."""
+    src = Path(__file__).parent.parent / "src"
+    code = ("import sys; import repro.cli; "
+            "sys.exit('networkx' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr or "networkx was imported"
 
 
 class TestDse:

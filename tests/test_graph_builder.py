@@ -19,17 +19,29 @@ from repro.profiling.cupti import CuptiTracer
 from repro.profiling.lookup import OperatorToTaskTable
 from repro.profiling.nccl import NcclModel
 from repro.hardware.kernels import DeviceModel
-from repro.sim.engine import simulate
+from repro.sim.engine import simulate_retimed
 
 
 def build(model, plan, training, system=None,
           granularity=Granularity.OPERATOR):
+    """The plan's compiled structure (compiling raises on a cycle)."""
     system = system or single_node()
     device = DeviceModel(system.gpu)
     lookup = OperatorToTaskTable(CuptiTracer(device))
     builder = GraphBuilder(model, system, plan, training, lookup,
                            NcclModel(system), granularity)
-    return builder.build()
+    return builder.compile()
+
+
+def iteration_time(model, plan, training, **kwargs):
+    return simulate_retimed(build(model, plan, training,
+                                  **kwargs)).iteration_time
+
+
+def of_kind(graph, kind):
+    """Replay positions of every task tagged ``kind``."""
+    return [pos for pos, index in enumerate(graph.kind_index.tolist())
+            if graph.kinds[index] == kind]
 
 
 class TestStructure:
@@ -37,7 +49,8 @@ class TestStructure:
         plan = ParallelismConfig(tensor=2, data=2, pipeline=2,
                                  micro_batch_size=2)
         graph = build(tiny_model, plan, training)
-        graph.validate_acyclic()
+        for pos, children in enumerate(graph.children_view):
+            assert all(pos < child for child in children)
 
     def test_num_devices_equals_pipeline_depth(self, tiny_model, training):
         plan = ParallelismConfig(tensor=1, data=2, pipeline=4)
@@ -47,9 +60,9 @@ class TestStructure:
     def test_weight_update_per_stage(self, tiny_model, training):
         plan = ParallelismConfig(tensor=1, data=1, pipeline=4)
         graph = build(tiny_model, plan, training)
-        updates = [n for n in graph.nodes if n.kind == KIND_WEIGHT_UPDATE]
+        updates = of_kind(graph, KIND_WEIGHT_UPDATE)
         assert len(updates) == 4
-        assert {n.device for n in updates} == {0, 1, 2, 3}
+        assert {graph.device_ids[pos] for pos in updates} == {0, 1, 2, 3}
 
     def test_plan_exceeding_system_rejected(self, tiny_model, training):
         plan = ParallelismConfig(tensor=8, data=2, pipeline=1)
@@ -65,23 +78,22 @@ class TestTensorParallelComm:
                                  micro_batch_size=4)
         graph = build(tiny_model, plan, training)
         nmb = 16 // 4
-        ars = [n for n in graph.nodes if n.kind == KIND_TP_COMM]
+        ars = of_kind(graph, KIND_TP_COMM)
         expected = nmb * (4 * tiny_model.num_layers + 1)
         assert len(ars) == expected
 
     def test_no_tp_comm_when_t_is_1(self, tiny_model, training):
         plan = ParallelismConfig(tensor=1, data=2, pipeline=1)
         graph = build(tiny_model, plan, training)
-        assert not [n for n in graph.nodes if n.kind == KIND_TP_COMM]
+        assert not of_kind(graph, KIND_TP_COMM)
 
     def test_tp_allreduce_is_sequential_dependency(self, tiny_model, training):
         """TP All-Reduce lives on the compute stream (Figure 6: it blocks
         the next block's compute)."""
         plan = ParallelismConfig(tensor=2, data=1, pipeline=1)
         graph = build(tiny_model, plan, training)
-        for node in graph.nodes:
-            if node.kind == KIND_TP_COMM:
-                assert node.stream == "compute"
+        for pos in of_kind(graph, KIND_TP_COMM):
+            assert graph.stream[pos] == "compute"
 
 
 class TestDataParallelComm:
@@ -89,7 +101,7 @@ class TestDataParallelComm:
         plan = ParallelismConfig(tensor=1, data=2, pipeline=1,
                                  num_gradient_buckets=4)
         graph = build(tiny_model, plan, training)
-        ars = [n for n in graph.nodes if n.kind == KIND_DP_COMM]
+        ars = of_kind(graph, KIND_DP_COMM)
         assert len(ars) == 4  # min(4 buckets, 4 layers)
 
     def test_bucketing_disabled_single_allreduce(self, tiny_model, training):
@@ -97,21 +109,20 @@ class TestDataParallelComm:
         plan = ParallelismConfig(tensor=1, data=2, pipeline=1,
                                  gradient_bucketing=False)
         graph = build(tiny_model, plan, training)
-        ars = [n for n in graph.nodes if n.kind == KIND_DP_COMM]
+        ars = of_kind(graph, KIND_DP_COMM)
         assert len(ars) == 1
 
     def test_no_dp_comm_when_d_is_1(self, tiny_model, training):
         plan = ParallelismConfig(tensor=2, data=1, pipeline=2)
         graph = build(tiny_model, plan, training)
-        assert not [n for n in graph.nodes if n.kind == KIND_DP_COMM]
+        assert not of_kind(graph, KIND_DP_COMM)
 
     def test_dp_allreduce_on_comm_stream(self, tiny_model, training):
         """Figure 5(a): bucket All-Reduces overlap backward compute."""
         plan = ParallelismConfig(tensor=1, data=2, pipeline=1)
         graph = build(tiny_model, plan, training)
-        for node in graph.nodes:
-            if node.kind == KIND_DP_COMM:
-                assert node.stream == "comm"
+        for pos in of_kind(graph, KIND_DP_COMM):
+            assert graph.stream[pos] == "comm"
 
     def test_bucket_sizes_sum_to_stage_gradients(self, tiny_model, training):
         plan = ParallelismConfig(tensor=1, data=2, pipeline=1,
@@ -134,13 +145,13 @@ class TestPipelineComm:
                                  micro_batch_size=4)
         graph = build(tiny_model, plan, training)
         nmb = 4
-        sends = [n for n in graph.nodes if n.kind == KIND_PP_COMM]
+        sends = of_kind(graph, KIND_PP_COMM)
         assert len(sends) == 2 * 3 * nmb
 
     def test_no_pp_comm_single_stage(self, tiny_model, training):
         plan = ParallelismConfig(tensor=1, data=2, pipeline=1)
         graph = build(tiny_model, plan, training)
-        assert not [n for n in graph.nodes if n.kind == KIND_PP_COMM]
+        assert not of_kind(graph, KIND_PP_COMM)
 
 
 class TestGranularityConsistency:
@@ -154,10 +165,10 @@ class TestGranularityConsistency:
                           schedule=PipelineSchedule.GPIPE),
     ])
     def test_kernel_vs_operator_identical(self, tiny_model, training, plan):
-        op_time = simulate(build(tiny_model, plan, training,
-                                 granularity=Granularity.OPERATOR)).iteration_time
-        kernel_time = simulate(build(tiny_model, plan, training,
-                                     granularity=Granularity.KERNEL)).iteration_time
+        op_time = iteration_time(tiny_model, plan, training,
+                                 granularity=Granularity.OPERATOR)
+        kernel_time = iteration_time(tiny_model, plan, training,
+                                     granularity=Granularity.KERNEL)
         assert kernel_time == pytest.approx(op_time, rel=1e-9)
 
     def test_stage_close_to_operator(self, tiny_model, training):
@@ -165,10 +176,10 @@ class TestGranularityConsistency:
         compute; only comm-overlap timing differs slightly."""
         plan = ParallelismConfig(tensor=2, data=2, pipeline=2,
                                  micro_batch_size=2)
-        op_time = simulate(build(tiny_model, plan, training,
-                                 granularity=Granularity.OPERATOR)).iteration_time
-        stage_time = simulate(build(tiny_model, plan, training,
-                                    granularity=Granularity.STAGE)).iteration_time
+        op_time = iteration_time(tiny_model, plan, training,
+                                 granularity=Granularity.OPERATOR)
+        stage_time = iteration_time(tiny_model, plan, training,
+                                    granularity=Granularity.STAGE)
         assert stage_time == pytest.approx(op_time, rel=0.05)
 
     def test_stage_granularity_much_smaller(self, tiny_model, training):
@@ -178,31 +189,31 @@ class TestGranularityConsistency:
                          granularity=Granularity.OPERATOR)
         stage_graph = build(tiny_model, plan, training,
                             granularity=Granularity.STAGE)
-        assert len(stage_graph) < len(op_graph) / 3
+        assert stage_graph.num_tasks < op_graph.num_tasks / 3
 
 
 class TestRecompute:
     def test_full_recompute_slower_than_selective(self, tiny_model, training):
         base = dict(tensor=1, data=1, pipeline=1, micro_batch_size=2)
-        fast = simulate(build(
+        fast = iteration_time(
             tiny_model,
             ParallelismConfig(recompute=RecomputeMode.SELECTIVE, **base),
-            training)).iteration_time
-        slow = simulate(build(
+            training)
+        slow = iteration_time(
             tiny_model,
             ParallelismConfig(recompute=RecomputeMode.FULL, **base),
-            training)).iteration_time
+            training)
         assert slow > fast
 
     def test_none_recompute_fastest(self, tiny_model, training):
         base = dict(tensor=1, data=1, pipeline=1, micro_batch_size=2)
-        none = simulate(build(
+        none = iteration_time(
             tiny_model, ParallelismConfig(recompute=RecomputeMode.NONE, **base),
-            training)).iteration_time
-        selective = simulate(build(
+            training)
+        selective = iteration_time(
             tiny_model,
             ParallelismConfig(recompute=RecomputeMode.SELECTIVE, **base),
-            training)).iteration_time
+            training)
         assert none < selective
 
 
@@ -210,11 +221,11 @@ class TestMultiNode:
     def test_internode_pipeline_hops_slower(self, small_model, training):
         """A pipeline crossing node boundaries pays InfiniBand latency."""
         plan = ParallelismConfig(tensor=8, data=1, pipeline=2)
-        intra = simulate(build(small_model,
+        intra = iteration_time(small_model,
                                ParallelismConfig(tensor=2, data=1, pipeline=2),
-                               training)).iteration_time
+                               training)
         inter_graph = build(small_model, plan, training,
                             system=multi_node(2))
         # Just verifying the build succeeds and produces inter-node sends.
-        sends = [n for n in inter_graph.nodes if n.kind == KIND_PP_COMM]
+        sends = of_kind(inter_graph, KIND_PP_COMM)
         assert sends and intra > 0

@@ -4,62 +4,61 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.graph.structure import (COMM_STREAM, COMPUTE_STREAM,
-                                   GraphAssembler, GraphStructure,
-                                   KIND_COMPUTE, KIND_DP_COMM)
+                                   FlatAssembler, KIND_COMPUTE, KIND_DP_COMM)
+from repro.sim.engine import simulate_retimed
 
 
 class TestAssembler:
     def test_chain_serialises_same_stream(self):
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         first = asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "a")
         second = asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "b")
-        graph = asm.finish(num_devices=1)
-        assert second in graph.nodes[first].children
-        assert graph.nodes[second].num_parents == 1
+        assert second in asm.children[first]
+        assert asm.num_parents[second] == 1
 
     def test_streams_are_independent(self):
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "a")
         comm = asm.add(0, COMM_STREAM, 1.0, KIND_DP_COMM, "c")
-        graph = asm.finish(num_devices=1)
-        assert graph.nodes[comm].num_parents == 0
+        assert asm.num_parents[comm] == 0
 
     def test_chain_false_does_not_extend_chain(self):
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         first = asm.add(0, COMM_STREAM, 1.0, KIND_DP_COMM, "a")
         asm.add(0, COMM_STREAM, 1.0, KIND_DP_COMM, "send", chain=False)
         third = asm.add(0, COMM_STREAM, 1.0, KIND_DP_COMM, "b")
-        graph = asm.finish(num_devices=1)
-        assert third in graph.nodes[first].children
+        assert third in asm.children[first]
 
     def test_explicit_deps(self):
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         a = asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "a")
         b = asm.add(1, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "b", deps=(a,))
-        graph = asm.finish(num_devices=2)
-        assert b in graph.nodes[a].children
+        assert b in asm.children[a]
 
     def test_negative_duration_rejected(self):
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         with pytest.raises(SimulationError):
             asm.add(0, COMPUTE_STREAM, -1.0, KIND_COMPUTE, "bad")
 
     def test_self_dependency_rejected(self):
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         a = asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "a")
         with pytest.raises(SimulationError):
             asm.link(a, a)
 
     def test_chain_tail_tracking(self):
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         assert asm.chain_tail(0, COMPUTE_STREAM) is None
         a = asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "a")
         assert asm.chain_tail(0, COMPUTE_STREAM) == a
 
 
-class TestExecutionGraph:
+class TestAssembledGraph:
+    """Whole-graph properties, read from the columns or the compiled
+    structure."""
+
     def _diamond(self):
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         a = asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "a", chain=False)
         b = asm.add(0, COMM_STREAM, 2.0, KIND_DP_COMM, "b", deps=(a,),
                     chain=False)
@@ -67,63 +66,63 @@ class TestExecutionGraph:
                     chain=False)
         asm.add(1, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "d", deps=(b, c),
                 chain=False)
-        return asm.finish(num_devices=2)
+        return asm
 
     def test_roots(self):
-        graph = self._diamond()
-        assert graph.roots() == [0]
+        asm = self._diamond()
+        roots = [task for task, parents in enumerate(asm.num_parents)
+                 if parents == 0]
+        assert roots == [0]
+        assert asm.compile(num_devices=2).task_ids[0] == 0
 
     def test_edge_count(self):
-        assert self._diamond().num_edges == 4
+        asm = self._diamond()
+        assert sum(map(len, asm.children)) == 4
+        assert asm.compile(num_devices=2).num_edges == 4
 
     def test_duration_by_kind(self):
-        totals = self._diamond().total_duration_by_kind()
+        result = simulate_retimed(self._diamond().compile(num_devices=2))
+        totals = result.breakdown()
         assert totals[KIND_COMPUTE] == pytest.approx(5.0)
         assert totals[KIND_DP_COMM] == pytest.approx(2.0)
 
     def test_device_durations(self):
-        per_device = self._diamond().device_durations()
+        result = simulate_retimed(self._diamond().compile(num_devices=2))
+        per_device = {device: sum(kinds.values())
+                      for device, kinds in result.device_busy.items()}
         assert per_device[0] == pytest.approx(3.0)
         assert per_device[1] == pytest.approx(4.0)
 
     def test_validate_acyclic_passes(self):
-        self._diamond().validate_acyclic()
+        assert self._diamond().compile(num_devices=2).num_tasks == 4
 
     def test_validate_acyclic_detects_cycle(self):
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         a = asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "a", chain=False)
         b = asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "b", deps=(a,),
                     chain=False)
         asm.link(b, a)  # cycle
-        graph = asm.finish(num_devices=1)
         with pytest.raises(SimulationError, match="cycle"):
-            graph.validate_acyclic()
-
-    def test_networkx_export(self):
-        nx_graph = self._diamond().to_networkx()
-        assert nx_graph.number_of_nodes() == 4
-        assert nx_graph.number_of_edges() == 4
-        import networkx as nx
-        assert nx.is_directed_acyclic_graph(nx_graph)
+            asm.compile(num_devices=1)
 
     def test_device_out_of_range_rejected_at_build(self):
         """A task on a device >= num_devices is a build-time error (the
         old engine silently invented timeline entries for it)."""
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         asm.add(2, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "ghost")
         with pytest.raises(SimulationError, match="device 2"):
-            asm.finish(num_devices=2)
+            asm.compile(num_devices=2)
 
     def test_negative_device_rejected_at_build(self):
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         asm.add(-1, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "ghost")
         with pytest.raises(SimulationError, match="device -1"):
-            asm.finish(num_devices=2)
+            asm.compile(num_devices=2)
 
 
 class TestGraphStructure:
     def _diamond(self):
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         a = asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "a", chain=False,
                     slot="x")
         b = asm.add(0, COMM_STREAM, 2.0, KIND_DP_COMM, "b", deps=(a,),
@@ -132,52 +131,50 @@ class TestGraphStructure:
                     chain=False, slot="x")
         asm.add(1, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "d", deps=(b, c),
                 chain=False, slot="z")
-        return asm, asm.finish(num_devices=2)
+        return asm
 
     def test_replay_order_is_topological(self):
-        asm, graph = self._diamond()
-        structure = GraphStructure.compile(graph, slots=asm.slots)
+        asm = self._diamond()
+        structure = asm.compile(num_devices=2)
         position = {task: pos
                     for pos, task in enumerate(structure.task_id.tolist())}
-        for node in graph.nodes:
-            for child in node.children:
-                assert position[node.task_id] < position[child]
+        for task, children in enumerate(asm.children):
+            for child in children:
+                assert position[task] < position[child]
 
     def test_csr_arrays_consistent(self):
-        asm, graph = self._diamond()
-        structure = GraphStructure.compile(graph, slots=asm.slots)
+        asm = self._diamond()
+        structure = asm.compile(num_devices=2)
         ptr = structure.child_ptr.tolist()
         assert ptr[0] == 0
-        assert ptr[-1] == structure.num_edges == graph.num_edges
+        assert ptr[-1] == structure.num_edges == sum(map(len, asm.children))
         assert all(lo <= hi for lo, hi in zip(ptr, ptr[1:]))
         for pos, children in enumerate(structure.children_view):
             lo, hi = ptr[pos], ptr[pos + 1]
             assert structure.child_idx.tolist()[lo:hi] == list(children)
 
     def test_slots_interned_and_retimed(self):
-        asm, graph = self._diamond()
-        structure = GraphStructure.compile(graph, slots=asm.slots)
+        structure = self._diamond().compile(num_devices=2)
         assert set(structure.slot_keys) == {"x", "y", "z"}
         durations = structure.retime({"x": 5.0, "y": 6.0, "z": 7.0})
         by_task = dict(zip(structure.task_id.tolist(), durations.tolist()))
         assert by_task == {0: 5.0, 1: 6.0, 2: 5.0, 3: 7.0}
 
     def test_retime_missing_slot_raises(self):
-        asm, graph = self._diamond()
-        structure = GraphStructure.compile(graph, slots=asm.slots)
+        structure = self._diamond().compile(num_devices=2)
         with pytest.raises(SimulationError, match="missing slot"):
             structure.retime({"x": 5.0})
 
     def test_missing_slots_disable_retime(self):
-        _, graph = self._diamond()
-        structure = GraphStructure.compile(graph)  # no slots recorded
+        asm = self._diamond()
+        asm.slots[-1] = None  # one task without a slot
+        structure = asm.compile(num_devices=2)
         assert structure.slot_keys is None
         with pytest.raises(SimulationError, match="slot"):
             structure.retime({"x": 1.0})
 
     def test_baseline_durations_read_only(self):
-        asm, graph = self._diamond()
-        structure = GraphStructure.compile(graph, slots=asm.slots)
+        structure = self._diamond().compile(num_devices=2)
         with pytest.raises(ValueError):
             structure.duration[0] = 99.0
 
@@ -188,9 +185,9 @@ class TestStructureCache:
                                          structure_cache_get,
                                          structure_cache_put,
                                          structure_cache_stats)
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "a")
-        structure = GraphStructure.compile(asm.finish(num_devices=1))
+        structure = asm.compile(num_devices=1)
         clear_structure_cache()
         try:
             assert structure_cache_get("k") is None
@@ -210,10 +207,10 @@ class TestStructureCache:
         monkeypatch.setenv("REPRO_STRUCTURE_CACHE_TASKS", "5")
 
         def structure_with(num_tasks):
-            asm = GraphAssembler()
+            asm = FlatAssembler()
             for index in range(num_tasks):
                 asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, f"t{index}")
-            return GraphStructure.compile(asm.finish(num_devices=1))
+            return asm.compile(num_devices=1)
 
         clear_structure_cache()
         try:

@@ -18,9 +18,9 @@ from repro.graph.builder import (Granularity, GraphBuilder,
                                  structure_fingerprint)
 from repro.graph.pipeline import (FORWARD, pipeline_bubble_fraction,
                                   schedule_order)
-from repro.graph.structure import (COMPUTE_STREAM, GraphAssembler,
+from repro.graph.structure import (COMPUTE_STREAM, FlatAssembler,
                                    KIND_COMPUTE, KIND_PP_COMM)
-from repro.sim.engine import simulate
+from repro.sim.engine import simulate_retimed
 from repro.sim.estimator import VTrain
 
 
@@ -111,11 +111,12 @@ class TestFingerprint:
 class TestGraphEmission:
     @pytest.mark.parametrize("granularity", list(Granularity))
     def test_valid_dag_every_granularity(self, granularity, deep_model,
-                                         batch):
+                                         batch, assemble_plan):
         vtrain = VTrain(single_node(), granularity=granularity)
-        graph = vtrain.build_graph(deep_model, interleaved_plan(2), batch)
-        graph.validate_acyclic()
-        assert simulate(graph).iteration_time > 0
+        asm, num_devices = assemble_plan(vtrain, deep_model,
+                                         interleaved_plan(2), batch)
+        structure = asm.compile(num_devices)  # raises on a cycle
+        assert simulate_retimed(structure).iteration_time > 0
 
     def test_wrap_around_p2p_tasks(self, deep_model, batch):
         """Each chunk boundary adds 2*NMB wrap-around sends between the
@@ -137,24 +138,27 @@ class TestGraphEmission:
                          if label.startswith("s3/c0->s0/c1/F")]
         assert len(forward_wraps) == nmb
 
-    def test_p2p_task_count_scales_with_v(self, deep_model, batch):
+    def test_p2p_task_count_scales_with_v(self, deep_model, batch,
+                                          assemble_plan):
         """Interleaving multiplies boundary traffic by v and adds the
         wrap hops: 2*NMB*((p-1)*v + v-1) P2P tasks in total."""
         vtrain = VTrain(single_node())
         for v in (1, 2, 4):
-            graph = vtrain.build_graph(deep_model, interleaved_plan(v),
-                                       batch)
-            p2p = sum(1 for n in graph.nodes if n.kind == KIND_PP_COMM)
+            asm, _ = assemble_plan(vtrain, deep_model, interleaved_plan(v),
+                                   batch)
+            p2p = asm.kind.count(KIND_PP_COMM)
             assert p2p == 2 * 32 * (3 * v + v - 1)
 
-    def test_layer_coverage_per_chunk(self, deep_model, batch):
+    def test_layer_coverage_per_chunk(self, deep_model, batch,
+                                      assemble_plan):
         """Stage-local layers 0..3 split as 0-1 (chunk 0) and 2-3
         (chunk 1); every layer appears in exactly one chunk."""
         vtrain = VTrain(single_node())
-        graph = vtrain.build_graph(deep_model, interleaved_plan(2), batch)
-        fwd_mha = [n.label for n in graph.nodes
-                   if n.label.startswith("s0/") and "/F0/" in n.label
-                   and n.label.endswith("/mha")]
+        asm, _ = assemble_plan(vtrain, deep_model, interleaved_plan(2),
+                               batch)
+        fwd_mha = [label for label in asm.label
+                   if label.startswith("s0/") and "/F0/" in label
+                   and label.endswith("/mha")]
         assert fwd_mha == ["s0/c0/F0/l0/mha", "s0/c0/F0/l1/mha",
                            "s0/c1/F0/l2/mha", "s0/c1/F0/l3/mha"]
 
@@ -174,7 +178,7 @@ class TestBubbleClosedForm:
 
     @staticmethod
     def ideal_graph(p, v, nmb):
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         f, b = {}, {}
         for stage in range(p):
             for unit in schedule_order(PipelineSchedule.ONE_F_ONE_B, stage,
@@ -194,13 +198,14 @@ class TestBubbleClosedForm:
                 asm.link(b[(stage + 1, c, m)], task)
             elif c < v - 1:
                 asm.link(b[(0, c + 1, m)], task)
-        return asm.finish(num_devices=p)
+        return asm.compile(num_devices=p)
 
     @pytest.mark.parametrize("p,nmb", [(2, 4), (4, 8), (4, 16), (8, 8)])
     def test_matches_formula_and_monotone(self, p, nmb):
         fractions = []
         for v in (1, 2, 4):
-            makespan = simulate(self.ideal_graph(p, v, nmb)).iteration_time
+            makespan = simulate_retimed(
+                self.ideal_graph(p, v, nmb)).iteration_time
             busy = 2.0 * v * nmb
             fraction = (makespan - busy) / makespan
             assert fraction == pytest.approx(

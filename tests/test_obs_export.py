@@ -13,7 +13,6 @@ from repro.obs.export import (SIM_PID_OFFSET, combined_trace,
                               simulation_trace_events, write_trace)
 from repro.obs.schema import validate
 from repro.obs.tracer import ENGINE_PID, SpanTracer
-from repro.sim.engine import simulate
 from repro.sim.estimator import VTrain
 
 SCHEMA_PATH = (Path(__file__).parent.parent / "schemas"
@@ -24,16 +23,16 @@ SCHEMA_PATH = (Path(__file__).parent.parent / "schemas"
 def timeline_result(tiny_model, training):
     vtrain = VTrain(single_node(), check_memory_feasibility=False)
     plan = ParallelismConfig(tensor=2, data=2, pipeline=2, micro_batch_size=2)
-    graph = vtrain.build_graph(tiny_model, plan, training)
-    return simulate(graph, record_timeline=True)
+    return vtrain.predict(tiny_model, plan, training,
+                          record_timeline=True).simulation
 
 
 class TestSimulationExport:
     def test_requires_recorded_timeline(self, tiny_model, training):
         vtrain = VTrain(single_node(), check_memory_feasibility=False)
         plan = ParallelismConfig(tensor=1, data=2, pipeline=2)
-        graph = vtrain.build_graph(tiny_model, plan, training)
-        result = simulate(graph)  # no timeline
+        result = vtrain.predict(tiny_model, plan,
+                                training).simulation  # no timeline
         with pytest.raises(SimulationError):
             simulation_trace_events(result)
 

@@ -15,7 +15,7 @@ from repro.config.parallelism import (ParallelismConfig, PipelineSchedule,
 from repro.config.system import single_node
 from repro.graph.pipeline import (gpipe_order, one_f_one_b_order,
                                   pipeline_bubble_fraction)
-from repro.graph.structure import (COMPUTE_STREAM, GraphAssembler,
+from repro.graph.structure import (COMPUTE_STREAM, FlatAssembler,
                                    KIND_COMPUTE)
 from repro.hardware.gpu import A100_80GB
 from repro.hardware.interconnect import RingParameters
@@ -24,7 +24,7 @@ from repro.memory.footprint import memory_footprint
 from repro.profiling.cupti import CuptiTracer
 from repro.profiling.lookup import OperatorToTaskTable
 from repro.profiling.nccl import NcclModel
-from repro.sim.engine import critical_path_length, simulate
+from repro.sim.engine import critical_path_length, simulate_retimed
 from repro.testbed import noise
 
 # ---------------------------------------------------------------------------
@@ -155,10 +155,10 @@ def test_bubble_fraction_in_unit_interval(stages, nmb):
 @given(st.lists(st.floats(min_value=1e-6, max_value=10.0), min_size=1,
                 max_size=30))
 def test_chain_iteration_time_is_sum(durations):
-    asm = GraphAssembler()
+    asm = FlatAssembler()
     for index, duration in enumerate(durations):
         asm.add(0, COMPUTE_STREAM, duration, KIND_COMPUTE, f"t{index}")
-    result = simulate(asm.finish(num_devices=1))
+    result = simulate_retimed(asm.compile(num_devices=1))
     assert abs(result.iteration_time - sum(durations)) < 1e-9 * len(durations)
 
 
@@ -175,11 +175,11 @@ def test_graph_invariants_random_configs(data):
     device = DeviceModel(system.gpu)
     lookup = OperatorToTaskTable(CuptiTracer(device))
     from repro.graph.builder import GraphBuilder
-    graph = GraphBuilder(model, system, plan, training, lookup,
-                         NcclModel(system)).build()
-    graph.validate_acyclic()
-    result = simulate(graph)
-    assert critical_path_length(graph) <= result.iteration_time + 1e-12
+    asm = GraphBuilder(model, system, plan, training, lookup,
+                       NcclModel(system)).assemble()
+    result = simulate_retimed(asm.compile(plan.pipeline))  # raises on a cycle
+    assert (critical_path_length(asm, plan.pipeline)
+            <= result.iteration_time + 1e-12)
     # Compute-stream work serialises, so its busy time bounds the
     # makespan from below; comm-stream work may overlap it (Figure 5a)
     # and is deliberately excluded.
@@ -200,19 +200,13 @@ def test_scaling_durations_scales_iteration_time(data):
     system = single_node()
     lookup = OperatorToTaskTable(CuptiTracer(DeviceModel(system.gpu)))
     from repro.graph.builder import GraphBuilder
-    from repro.graph.structure import ExecutionGraph, TaskNode
-    graph = GraphBuilder(model, system, plan, training, lookup,
-                         NcclModel(system)).build()
-    base = simulate(graph).iteration_time
-    scaled_nodes = [TaskNode(task_id=n.task_id, device=n.device,
-                             stream=n.stream, duration=n.duration * factor,
-                             kind=n.kind, label=n.label, children=n.children,
-                             num_parents=n.num_parents)
-                    for n in graph.nodes]
-    scaled = ExecutionGraph(nodes=scaled_nodes,
-                            num_devices=graph.num_devices)
-    assert simulate(scaled).iteration_time * (1 - 1e-9) <= base * factor \
-        <= simulate(scaled).iteration_time * (1 + 1e-9)
+    structure = GraphBuilder(model, system, plan, training, lookup,
+                             NcclModel(system)).compile()
+    base = simulate_retimed(structure).iteration_time
+    scaled = simulate_retimed(
+        structure, [duration * factor for duration in structure.duration_view])
+    assert scaled.iteration_time * (1 - 1e-9) <= base * factor \
+        <= scaled.iteration_time * (1 + 1e-9)
 
 
 # ---------------------------------------------------------------------------

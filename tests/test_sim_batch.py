@@ -1,5 +1,7 @@
 """Batched-engine equivalence: every simulate_retimed_batch column is
-bit-identical to a scalar simulate_retimed replay of that column.
+bit-identical to a scalar simulate_retimed replay of that column, and on
+randomized DAGs to the reference engine replaying the uncompiled
+assembler columns.
 
 The batched sweep groups replay positions into chunks and propagates all
 N duration columns together, but each column still performs the exact
@@ -23,19 +25,20 @@ from repro.config.parallelism import ParallelismConfig
 from repro.config.system import single_node
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.errors import SimulationError
-from repro.graph.structure import ALL_KINDS, COMM_STREAM, COMPUTE_STREAM, GraphAssembler
-from repro.sim.engine import simulate_retimed, simulate_retimed_batch
+from repro.graph.structure import ALL_KINDS, COMM_STREAM, COMPUTE_STREAM, FlatAssembler
+from repro.sim.engine import simulate_reference, simulate_retimed, simulate_retimed_batch
 from repro.sim.estimator import VTrain
 
 STREAMS = (COMPUTE_STREAM, COMM_STREAM)
 
 
-def random_structure(seed):
-    """A compiled random DAG (chain edges + random back-deps)."""
+def random_assembly(seed):
+    """A random DAG (chain edges + random back-deps) as uncompiled
+    assembler columns; returns ``(assembler, num_devices)``."""
     rng = random.Random(seed)
     num_devices = rng.randint(1, 4)
     num_tasks = rng.randint(1, 60)
-    asm = GraphAssembler()
+    asm = FlatAssembler()
     for index in range(num_tasks):
         deps = ()
         if index and rng.random() < 0.6:
@@ -50,7 +53,13 @@ def random_structure(seed):
             deps=deps,
             chain=rng.random() < 0.7,
         )
-    return asm.finish(num_devices=num_devices).compiled()
+    return asm, num_devices
+
+
+def random_structure(seed):
+    """A compiled random DAG."""
+    asm, num_devices = random_assembly(seed)
+    return asm.compile(num_devices)
 
 
 def random_matrix(structure, seed, batch_size):
@@ -60,8 +69,13 @@ def random_matrix(structure, seed, batch_size):
     return base[:, None] * rng.uniform(0.0, 2.0, (structure.num_tasks, batch_size))
 
 
-def assert_columns_bit_identical(structure, matrix):
-    """Batched replay vs one scalar replay per column, field for field."""
+def assert_columns_bit_identical(structure, matrix, reference=None):
+    """Batched replay vs one scalar replay per column, field for field.
+
+    ``reference`` is the structure's ``(assembler, num_devices)`` source;
+    when given, every column is also replayed by the reference engine
+    with its durations scattered back into emission order.
+    """
     matrix = np.asarray(matrix, dtype=np.float64)
     batch = simulate_retimed_batch(structure, matrix)
     assert len(batch) == matrix.shape[1]
@@ -79,25 +93,41 @@ def assert_columns_bit_identical(structure, matrix):
             assert list(result.device_busy[device]) == list(scalar.device_busy[device])
         assert result.events is None
         assert result.metadata == scalar.metadata
+        if reference is not None:
+            asm, num_devices = reference
+            durations = [0.0] * structure.num_tasks
+            for position, task in enumerate(structure.task_ids):
+                durations[task] = float(matrix[position, col])
+            asm.duration = durations
+            oracle = simulate_reference(asm, num_devices)
+            assert result.iteration_time == oracle.iteration_time
+            assert result.device_timeline == oracle.device_timeline
+            assert result.device_busy == oracle.device_busy
+            for device in oracle.device_busy:
+                assert list(result.device_busy[device]) == list(oracle.device_busy[device])
 
 
 class TestRandomizedDags:
     @pytest.mark.parametrize("seed", range(10))
     def test_seeded_random_graphs(self, seed):
-        structure = random_structure(seed)
-        assert_columns_bit_identical(structure, random_matrix(structure, seed, 7))
+        asm, num_devices = random_assembly(seed)
+        structure = asm.compile(num_devices)
+        matrix = random_matrix(structure, seed, 7)
+        assert_columns_bit_identical(structure, matrix, reference=(asm, num_devices))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", range(10, 40))
     def test_seeded_random_graphs_exhaustive(self, seed):
-        structure = random_structure(seed)
-        assert_columns_bit_identical(structure, random_matrix(structure, seed, 16))
+        asm, num_devices = random_assembly(seed)
+        structure = asm.compile(num_devices)
+        matrix = random_matrix(structure, seed, 16)
+        assert_columns_bit_identical(structure, matrix, reference=(asm, num_devices))
 
     @given(data=st.data())
     def test_hypothesis_random_graphs(self, data):
         num_devices = data.draw(st.integers(1, 3), label="num_devices")
         num_tasks = data.draw(st.integers(1, 20), label="num_tasks")
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         for index in range(num_tasks):
             deps = ()
             if index:
@@ -112,14 +142,14 @@ class TestRandomizedDags:
                 deps=deps,
                 chain=data.draw(st.booleans(), label=f"chain{index}"),
             )
-        structure = asm.finish(num_devices=num_devices).compiled()
+        structure = asm.compile(num_devices)
         batch_size = data.draw(st.integers(0, 5), label="batch_size")
         cells = [
             data.draw(st.floats(0.0, 100.0, allow_nan=False), label=f"cell{index}")
             for index in range(num_tasks * batch_size)
         ]
         matrix = np.asarray(cells, dtype=np.float64).reshape(num_tasks, batch_size)
-        assert_columns_bit_identical(structure, matrix)
+        assert_columns_bit_identical(structure, matrix, reference=(asm, num_devices))
 
 
 class TestInputLayouts:
@@ -187,7 +217,7 @@ class TestValidation:
             simulate_retimed_batch(structure, matrix)
 
     def test_empty_structure_rejected(self):
-        structure = GraphAssembler().finish(num_devices=0).compiled()
+        structure = FlatAssembler().compile(num_devices=0)
         with pytest.raises(SimulationError, match="empty"):
             simulate_retimed_batch(structure, np.empty((0, 4)))
 

@@ -4,152 +4,163 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.graph.structure import (COMM_STREAM, COMPUTE_STREAM,
-                                   ExecutionGraph, GraphAssembler,
-                                   KIND_COMPUTE, KIND_DP_COMM)
+                                   FlatAssembler, KIND_COMPUTE, KIND_DP_COMM)
 from repro.sim.engine import (compute_idle_fraction, critical_path_length,
-                              simulate, stream_serialisation_check)
+                              simulate_reference, simulate_retimed,
+                              stream_serialisation_check)
+
+
+def chain_assembly(durations):
+    asm = FlatAssembler()
+    for index, duration in enumerate(durations):
+        asm.add(0, COMPUTE_STREAM, duration, KIND_COMPUTE, f"t{index}")
+    return asm
 
 
 def chain_graph(durations):
-    asm = GraphAssembler()
-    for index, duration in enumerate(durations):
-        asm.add(0, COMPUTE_STREAM, duration, KIND_COMPUTE, f"t{index}")
-    return asm.finish(num_devices=1)
+    return chain_assembly(durations).compile(num_devices=1)
 
 
 class TestBasics:
     def test_chain_sums(self):
-        result = simulate(chain_graph([1.0, 2.0, 3.0]))
+        result = simulate_retimed(chain_graph([1.0, 2.0, 3.0]))
         assert result.iteration_time == pytest.approx(6.0)
         assert result.num_tasks == 3
 
     def test_parallel_devices_take_max(self):
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         asm.add(0, COMPUTE_STREAM, 2.0, KIND_COMPUTE, "a")
         asm.add(1, COMPUTE_STREAM, 5.0, KIND_COMPUTE, "b")
-        result = simulate(asm.finish(num_devices=2))
+        result = simulate_retimed(asm.compile(num_devices=2))
         assert result.iteration_time == pytest.approx(5.0)
         assert result.device_timeline[0] == pytest.approx(2.0)
         assert result.device_timeline[1] == pytest.approx(5.0)
 
     def test_dependency_delays_child(self):
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         a = asm.add(0, COMPUTE_STREAM, 3.0, KIND_COMPUTE, "a")
         asm.add(1, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "b", deps=(a,))
-        result = simulate(asm.finish(num_devices=2))
+        result = simulate_retimed(asm.compile(num_devices=2))
         assert result.iteration_time == pytest.approx(4.0)
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(SimulationError):
-            simulate(ExecutionGraph(nodes=[], num_devices=0))
+        with pytest.raises(SimulationError, match="empty"):
+            simulate_retimed(FlatAssembler().compile(num_devices=0))
 
     def test_cycle_detected(self):
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         a = asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "a", chain=False)
         b = asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "b", deps=(a,),
                     chain=False)
         asm.link(b, a)
         with pytest.raises(SimulationError, match="deadlock"):
-            simulate(asm.finish(num_devices=1))
+            asm.compile(num_devices=1)
 
 
 class TestOverlap:
     def overlap_graph(self):
         """Compute chain of 3 x 1s; a 2s comm task depends on the first
         compute task and overlaps the rest (the Figure 5(a) pattern)."""
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         first = asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "bwd4")
         asm.add(0, COMM_STREAM, 2.0, KIND_DP_COMM, "ar_bucket",
                 deps=(first,), chain=False)
         asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "bwd3")
         asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "bwd2")
-        return asm.finish(num_devices=1)
+        return asm.compile(num_devices=1)
 
     def test_comm_overlaps_compute(self):
         """Total = 3s of compute; the 2s All-Reduce hides inside it."""
-        result = simulate(self.overlap_graph())
+        result = simulate_retimed(self.overlap_graph())
         assert result.iteration_time == pytest.approx(3.0)
 
     def test_serial_comm_would_be_slower(self):
         """Sanity: had the AR been on the compute stream it would add."""
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "bwd4")
         asm.add(0, COMPUTE_STREAM, 2.0, KIND_DP_COMM, "ar_serial")
         asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "bwd3")
         asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "bwd2")
-        result = simulate(asm.finish(num_devices=1))
+        result = simulate_retimed(asm.compile(num_devices=1))
         assert result.iteration_time == pytest.approx(5.0)
 
 
 class TestAccounting:
     def test_busy_seconds_by_kind(self):
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         asm.add(0, COMPUTE_STREAM, 2.0, KIND_COMPUTE, "a")
         asm.add(0, COMM_STREAM, 1.0, KIND_DP_COMM, "c", chain=False)
-        result = simulate(asm.finish(num_devices=1))
+        result = simulate_retimed(asm.compile(num_devices=1))
         assert result.busy_seconds(KIND_COMPUTE) == pytest.approx(2.0)
         assert result.busy_seconds(KIND_DP_COMM) == pytest.approx(1.0)
         breakdown = result.breakdown()
         assert breakdown[KIND_COMPUTE] == pytest.approx(2.0)
 
     def test_idle_fraction(self):
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         a = asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "a")
         asm.add(1, COMPUTE_STREAM, 3.0, KIND_COMPUTE, "b", deps=(a,),
                 chain=False)
-        result = simulate(asm.finish(num_devices=2))
+        result = simulate_retimed(asm.compile(num_devices=2))
         # iteration = 4s; device 0 busy 1s (idle 3/4), device 1 busy 3/4.
         assert compute_idle_fraction(result) == pytest.approx(0.5)
 
     def test_timeline_events_recorded(self):
-        result = simulate(chain_graph([1.0, 2.0]), record_timeline=True)
+        result = simulate_retimed(chain_graph([1.0, 2.0]),
+                                  record_timeline=True)
         assert len(result.events) == 2
         assert result.events[0].finish == pytest.approx(1.0)
         assert result.events[1].start == pytest.approx(1.0)
 
     def test_chrome_trace_export(self):
-        result = simulate(chain_graph([1.0]), record_timeline=True)
+        result = simulate_retimed(chain_graph([1.0]),
+                                  record_timeline=True)
         trace = result.to_chrome_trace()
         assert trace[0]["ph"] == "X"
         assert trace[0]["dur"] == pytest.approx(1e6)
 
     def test_chrome_trace_empty_without_recording(self):
-        result = simulate(chain_graph([1.0]))
+        result = simulate_retimed(chain_graph([1.0]))
         assert result.to_chrome_trace() == []
 
 
 class TestInvariants:
-    def test_critical_path_lower_bounds_iteration(self, tiny_model, training):
+    def test_critical_path_lower_bounds_iteration(self, tiny_model, training,
+                                                  vtrain, assemble_plan):
         from repro.config.parallelism import ParallelismConfig
-        from repro.sim.estimator import VTrain
-        from repro.config.system import single_node
-        vtrain = VTrain(single_node())
         plan = ParallelismConfig(tensor=2, data=2, pipeline=2,
                                  micro_batch_size=2)
-        graph = vtrain.build_graph(tiny_model, plan, training)
-        assert critical_path_length(graph) <= simulate(
-            graph).iteration_time + 1e-12
+        asm, num_devices = assemble_plan(vtrain, tiny_model, plan, training)
+        structure = asm.compile(num_devices)
+        assert critical_path_length(asm, num_devices) <= simulate_retimed(
+            structure).iteration_time + 1e-12
 
-    def test_stream_serialisation_holds(self, tiny_model, training):
+    def test_stream_serialisation_holds(self, tiny_model, training, vtrain,
+                                        assemble_plan):
         from repro.config.parallelism import ParallelismConfig
-        from repro.sim.estimator import VTrain
-        from repro.config.system import single_node
-        vtrain = VTrain(single_node())
         plan = ParallelismConfig(tensor=1, data=2, pipeline=4)
-        graph = vtrain.build_graph(tiny_model, plan, training)
-        result = simulate(graph, record_timeline=True)
-        assert stream_serialisation_check(graph, result)
+        asm, num_devices = assemble_plan(vtrain, tiny_model, plan, training)
+        result = simulate_retimed(asm.compile(num_devices),
+                                  record_timeline=True)
+        assert stream_serialisation_check(result)
 
     def test_serialisation_check_requires_timeline(self):
-        graph = chain_graph([1.0])
-        result = simulate(graph)
-        with pytest.raises(SimulationError):
-            stream_serialisation_check(graph, result)
+        result = simulate_retimed(chain_graph([1.0]))
+        with pytest.raises(SimulationError, match="record_timeline"):
+            stream_serialisation_check(result)
 
     def test_engine_does_not_mutate_graph(self):
-        graph = chain_graph([1.0, 2.0])
-        before = [(n.num_parents, tuple(n.children)) for n in graph.nodes]
-        simulate(graph)
-        simulate(graph)
-        after = [(n.num_parents, tuple(n.children)) for n in graph.nodes]
-        assert before == after
+        asm = chain_assembly([1.0, 2.0])
+        structure = asm.compile(num_devices=1)
+
+        def snapshot():
+            return ([tuple(kids) for kids in asm.children],
+                    list(asm.num_parents), list(asm.duration),
+                    [tuple(kids) for kids in structure.children_view],
+                    list(structure.duration_view))
+
+        before = snapshot()
+        simulate_reference(asm, 1)
+        simulate_retimed(structure)
+        simulate_retimed(structure, [3.0, 4.0])
+        assert snapshot() == before

@@ -1,14 +1,16 @@
-"""Compiled-engine equivalence: simulate() is bit-identical to the
-reference Algorithm-1 loop.
+"""Compiled-engine equivalence: simulate_retimed() is bit-identical to
+the reference Algorithm-1 loop.
 
 The compiled engine (precompiled replay order + flat arrays,
 :func:`repro.sim.engine.simulate_retimed`) must reproduce
 :func:`repro.sim.engine.simulate_reference` *exactly* — same makespan
 bits, same per-device timelines, same busy accounting (values and dict
 insertion order), same recorded events in the same order — on arbitrary
-DAGs, not just builder-shaped ones. These tests drive both engines over
-randomized graphs (seeded generators plus hypothesis) and over real
-builder output at every granularity.
+DAGs, not just builder-shaped ones. The reference replays the
+uncompiled assembler columns with its own FIFO queue, so every check
+here also exercises the replay-order compilation independently. These
+tests drive both engines over randomized graphs (seeded generators plus
+hypothesis) and over real builder output at every granularity.
 """
 
 import random
@@ -19,21 +21,22 @@ from hypothesis import given, strategies as st
 from repro.config.parallelism import ParallelismConfig, PipelineSchedule
 from repro.config.system import single_node
 from repro.errors import SimulationError
-from repro.graph.builder import Granularity
+from repro.graph.builder import Granularity, clear_structure_cache
 from repro.graph.structure import (ALL_KINDS, COMM_STREAM, COMPUTE_STREAM,
-                                   GraphAssembler, GraphStructure)
-from repro.sim.engine import simulate, simulate_reference, simulate_retimed
+                                   FlatAssembler)
+from repro.sim.engine import simulate_reference, simulate_retimed
 from repro.sim.estimator import VTrain
 
 STREAMS = (COMPUTE_STREAM, COMM_STREAM)
 
 
 def random_graph(seed: int):
-    """A random DAG via the assembler (chain edges + random back-deps)."""
+    """A random DAG via the assembler (chain edges + random back-deps);
+    returns ``(assembler, num_devices)``."""
     rng = random.Random(seed)
     num_devices = rng.randint(1, 4)
     num_tasks = rng.randint(1, 60)
-    asm = GraphAssembler()
+    asm = FlatAssembler()
     for index in range(num_tasks):
         deps = ()
         if index and rng.random() < 0.6:
@@ -43,13 +46,14 @@ def random_graph(seed: int):
         asm.add(rng.randrange(num_devices), rng.choice(STREAMS), duration,
                 rng.choice(ALL_KINDS), f"t{index}", deps=deps,
                 chain=rng.random() < 0.7)
-    return asm.finish(num_devices=num_devices)
+    return asm, num_devices
 
 
-def assert_bit_identical(graph):
+def assert_bit_identical(asm, num_devices):
     """Both engines, timeline recorded, every field compared exactly."""
-    reference = simulate_reference(graph, record_timeline=True)
-    compiled = simulate(graph, record_timeline=True)
+    reference = simulate_reference(asm, num_devices, record_timeline=True)
+    compiled = simulate_retimed(asm.compile(num_devices),
+                                record_timeline=True)
     assert compiled.iteration_time == reference.iteration_time
     assert compiled.num_tasks == reference.num_tasks
     assert compiled.device_timeline == reference.device_timeline
@@ -66,19 +70,19 @@ def assert_bit_identical(graph):
 class TestRandomizedDags:
     @pytest.mark.parametrize("seed", range(12))
     def test_seeded_random_graphs(self, seed):
-        assert_bit_identical(random_graph(seed))
+        assert_bit_identical(*random_graph(seed))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", range(12, 60))
     def test_seeded_random_graphs_exhaustive(self, seed):
         """The long tail of seeds, run in the full (slow) lane only."""
-        assert_bit_identical(random_graph(seed))
+        assert_bit_identical(*random_graph(seed))
 
     @given(data=st.data())
     def test_hypothesis_random_graphs(self, data):
         num_devices = data.draw(st.integers(1, 3), label="num_devices")
         num_tasks = data.draw(st.integers(1, 25), label="num_tasks")
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         for index in range(num_tasks):
             deps = ()
             if index:
@@ -95,16 +99,18 @@ class TestRandomizedDags:
                               label=f"kind{index}"),
                     f"t{index}", deps=deps,
                     chain=data.draw(st.booleans(), label=f"chain{index}"))
-        assert_bit_identical(asm.finish(num_devices=num_devices))
+        assert_bit_identical(asm, num_devices)
 
 
 class TestBuilderGraphs:
     @pytest.mark.parametrize("granularity", list(Granularity))
-    def test_all_granularities(self, granularity, tiny_model, training):
+    def test_all_granularities(self, granularity, tiny_model, training,
+                               assemble_plan):
         vtrain = VTrain(single_node(), granularity=granularity)
         plan = ParallelismConfig(tensor=2, data=2, pipeline=2,
                                  micro_batch_size=2)
-        assert_bit_identical(vtrain.build_graph(tiny_model, plan, training))
+        assert_bit_identical(*assemble_plan(vtrain, tiny_model, plan,
+                                            training))
 
     @pytest.mark.parametrize("plan", [
         ParallelismConfig(tensor=1, data=1, pipeline=4, micro_batch_size=2),
@@ -114,24 +120,25 @@ class TestBuilderGraphs:
         ParallelismConfig(tensor=2, data=2, pipeline=2, micro_batch_size=2,
                           schedule=PipelineSchedule.GPIPE),
     ])
-    def test_plan_shapes(self, plan, tiny_model, training):
+    def test_plan_shapes(self, plan, tiny_model, training, assemble_plan):
         vtrain = VTrain(single_node())
-        assert_bit_identical(vtrain.build_graph(tiny_model, plan, training))
+        assert_bit_identical(*assemble_plan(vtrain, tiny_model, plan,
+                                            training))
 
 
 class TestRetime:
-    def test_scaled_durations_match_scaled_graph(self, tiny_model, training):
+    def test_scaled_durations_match_scaled_graph(self, tiny_model, training,
+                                                 assemble_plan):
         """Replaying a structure with 2x durations equals the reference
-        engine on a graph whose node durations were doubled."""
+        engine on assembler columns whose durations were doubled."""
         vtrain = VTrain(single_node())
         plan = ParallelismConfig(tensor=2, data=2, pipeline=2,
                                  micro_batch_size=2)
-        graph = vtrain.build_graph(tiny_model, plan, training)
-        structure = graph.compiled()
+        asm, num_devices = assemble_plan(vtrain, tiny_model, plan, training)
+        structure = asm.compile(num_devices)
         retimed = simulate_retimed(structure, structure.duration * 2.0)
-        for node in graph.nodes:
-            node.duration *= 2.0
-        reference = simulate_reference(graph)
+        asm.duration = [duration * 2.0 for duration in asm.duration]
+        reference = simulate_reference(asm, num_devices)
         assert retimed.iteration_time == reference.iteration_time
         assert retimed.device_timeline == reference.device_timeline
         assert retimed.device_busy == reference.device_busy
@@ -150,65 +157,86 @@ class TestRetime:
         assert refilled.tolist() == structure.duration.tolist()
 
     def test_retime_rejects_wrong_length(self):
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         asm.add(0, COMPUTE_STREAM, 1.0, ALL_KINDS[0], "a")
-        structure = asm.finish(num_devices=1).compiled()
+        structure = asm.compile(num_devices=1)
         with pytest.raises(SimulationError, match="entries"):
             simulate_retimed(structure, [1.0, 2.0])
 
     def test_retime_rejects_negative_durations(self):
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         asm.add(0, COMPUTE_STREAM, 1.0, ALL_KINDS[0], "a")
-        structure = asm.finish(num_devices=1).compiled()
+        structure = asm.compile(num_devices=1)
         with pytest.raises(SimulationError, match="non-negative"):
             simulate_retimed(structure, [-1.0])
 
     def test_retime_without_slots_raises(self):
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         asm.add(0, COMPUTE_STREAM, 1.0, ALL_KINDS[0], "a")
-        structure = asm.finish(num_devices=1).compiled()
+        structure = asm.compile(num_devices=1)
         with pytest.raises(SimulationError, match="slot"):
             structure.retime({"op:any": 1.0})
 
 
+def one_task(duration=1.0):
+    asm = FlatAssembler()
+    asm.add(0, COMPUTE_STREAM, duration, ALL_KINDS[0], "a")
+    return asm
+
+
 class TestStructureDispatch:
     def test_simulate_accepts_structure(self):
-        asm = GraphAssembler()
-        asm.add(0, COMPUTE_STREAM, 1.5, ALL_KINDS[0], "a")
-        graph = asm.finish(num_devices=1)
-        assert simulate(graph.compiled()).iteration_time == \
-            simulate_reference(graph).iteration_time
+        asm = one_task(1.5)
+        assert simulate_retimed(asm.compile(1)).iteration_time == \
+            simulate_reference(asm, 1).iteration_time
 
-    def test_compiled_is_memoized(self):
-        asm = GraphAssembler()
-        asm.add(0, COMPUTE_STREAM, 1.0, ALL_KINDS[0], "a")
-        graph = asm.finish(num_devices=1)
-        assert graph.compiled() is graph.compiled()
+    def test_compiled_is_memoized(self, tiny_model, training):
+        """Compilation is memoized process-wide: re-preparing a plan
+        returns the identical structure object from the cache."""
+        clear_structure_cache()
+        try:
+            vtrain = VTrain(single_node())
+            plan = ParallelismConfig(tensor=2, data=2, pipeline=2,
+                                     micro_batch_size=2)
+            first = vtrain.prepare(tiny_model, plan, training)
+            second = vtrain.prepare(tiny_model, plan, training)
+            assert second.structure is first.structure
+            assert second.structure_cache_hit
+        finally:
+            clear_structure_cache()
 
     def test_simulate_sees_mutated_durations(self):
-        """Durations are re-read per call: mutating a node between
-        replays (sensitivity studies) works as in the reference engine,
-        even though the topology is memoized."""
-        asm = GraphAssembler()
-        asm.add(0, COMPUTE_STREAM, 1.0, ALL_KINDS[0], "a")
-        graph = asm.finish(num_devices=1)
-        assert simulate(graph).iteration_time == 1.0
-        graph.nodes[0].duration = 5.0
-        assert simulate(graph).iteration_time == 5.0
-        assert simulate(graph).iteration_time == \
-            simulate_reference(graph).iteration_time
+        """A compiled structure's baseline is frozen at compile time;
+        re-timing it with explicit durations (sensitivity studies)
+        matches the reference replaying mutated assembler columns."""
+        asm = one_task()
+        structure = asm.compile(1)
+        assert simulate_retimed(structure).iteration_time == 1.0
+        asm.duration[0] = 5.0
+        assert simulate_retimed(structure).iteration_time == 1.0
+        assert simulate_retimed(structure, [5.0]).iteration_time == 5.0
+        assert simulate_reference(asm, 1).iteration_time == 5.0
 
     def test_cycle_detected_through_compiled_path(self):
-        asm = GraphAssembler()
+        asm = FlatAssembler()
         a = asm.add(0, COMPUTE_STREAM, 1.0, ALL_KINDS[0], "a", chain=False)
         b = asm.add(0, COMPUTE_STREAM, 1.0, ALL_KINDS[0], "b", deps=(a,),
                     chain=False)
         asm.link(b, a)
         with pytest.raises(SimulationError, match="deadlock"):
-            simulate(asm.finish(num_devices=1))
+            asm.compile(num_devices=1)
+        with pytest.raises(SimulationError, match="deadlock"):
+            simulate_reference(asm, 1)
 
     def test_empty_structure_rejected(self):
-        structure = GraphStructure.compile(
-            GraphAssembler().finish(num_devices=0))
+        structure = FlatAssembler().compile(num_devices=0)
         with pytest.raises(SimulationError, match="empty"):
             simulate_retimed(structure)
+        with pytest.raises(SimulationError, match="empty"):
+            simulate_reference(FlatAssembler(), 0)
+
+    def test_reference_rejects_device_out_of_range(self):
+        asm = FlatAssembler()
+        asm.add(1, COMPUTE_STREAM, 1.0, ALL_KINDS[0], "ghost")
+        with pytest.raises(SimulationError, match="device 1"):
+            simulate_reference(asm, 1)

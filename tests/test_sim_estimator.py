@@ -2,14 +2,19 @@
 
 import pytest
 
+from repro import obs
 from repro.config.description import InputDescription
 from repro.config.parallelism import ParallelismConfig, TrainingConfig
 from repro.config.system import single_node
 from repro.cost.pricing import PricingModel
 from repro.errors import InfeasibleConfigError
-from repro.graph.builder import Granularity
+from repro.graph.builder import (Granularity, GraphBuilder,
+                                 clear_structure_cache, structure_cache_get,
+                                 structure_cache_put)
+from repro.graph.structure import COMPUTE_STREAM, FlatAssembler, KIND_COMPUTE
 from repro.sim.estimator import (VTrain, cost_for_utilization,
-                                 training_days_for_utilization)
+                                 training_days_for_utilization,
+                                 training_estimate)
 
 
 class TestPredict:
@@ -109,6 +114,19 @@ class TestEndToEnd:
                             "utilization_pct", "num_gpus",
                             "dollars_per_hour", "dollars_total_millions"}
 
+    def test_estimate_from_existing_prediction_matches(self, vtrain,
+                                                       tiny_model, training):
+        """Scaling a prediction already in hand equals estimate_training,
+        field for field, without replaying the plan again."""
+        plan = ParallelismConfig(tensor=2, data=2, pipeline=2,
+                                 micro_batch_size=2)
+        prediction = vtrain.predict(tiny_model, plan, training)
+        predictions = vtrain.num_predictions
+        estimate = training_estimate(tiny_model, plan, training, prediction)
+        assert vtrain.num_predictions == predictions
+        assert estimate == vtrain.estimate_training(tiny_model, plan,
+                                                    training)
+
 
 class TestProfilingAmortisation:
     def test_shared_lookup_across_predictions(self, tiny_model, training):
@@ -149,6 +167,35 @@ class TestProfilingAmortisation:
         assert second.iteration_time == first.iteration_time
         assert second.simulation.device_timeline == \
             first.simulation.device_timeline
+
+    def test_fingerprint_drift_rebuilds_loudly(self, tiny_model, training):
+        """A cached structure that does not match its fingerprint's
+        builder is evicted and rebuilt, counted and warned about."""
+        vtrain = VTrain(single_node())
+        plan = ParallelismConfig(tensor=2, data=2, pipeline=2,
+                                 micro_batch_size=2)
+        key = GraphBuilder(tiny_model, vtrain.system, plan, training,
+                           vtrain.lookup, vtrain.nccl,
+                           vtrain.granularity).structure_key
+        stale = FlatAssembler()
+        stale.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "stale",
+                  slot="op:not-in-this-builder")
+        clear_structure_cache()
+        try:
+            expected = VTrain(single_node()).predict(tiny_model, plan,
+                                                     training)
+            structure_cache_put(key, stale.compile(num_devices=2))
+            counter = "sim.structure_drift_rebuilds"
+            before = obs.snapshot()["counters"].get(counter, 0)
+            with pytest.warns(RuntimeWarning, match="does not match"):
+                prediction = vtrain.predict(tiny_model, plan, training)
+            assert obs.snapshot()["counters"][counter] == before + 1
+            assert not vtrain.last_predict_timing.structure_cache_hit
+            assert prediction.iteration_time == expected.iteration_time
+            assert structure_cache_get(key).num_tasks == \
+                prediction.simulation.num_tasks
+        finally:
+            clear_structure_cache()
 
 
 class TestFigure1Helpers:

@@ -93,11 +93,13 @@ GOLDENS = {
 }
 
 
-def graph_digest(graph) -> str:
-    """Canonical hash of everything structural + timed in a graph."""
-    rows = [(node.task_id, node.device, node.stream, node.kind, node.label,
-             repr(node.duration), tuple(node.children))
-            for node in graph.nodes]
+def graph_digest(asm) -> str:
+    """Canonical hash of everything structural + timed in an assembled
+    (uncompiled) graph, row by row in emission order."""
+    rows = [(task_id, asm.device[task_id], asm.stream[task_id],
+             asm.kind[task_id], asm.label[task_id],
+             repr(asm.duration[task_id]), tuple(asm.children[task_id]))
+            for task_id in range(len(asm))]
     return hashlib.sha256(
         json.dumps(rows, sort_keys=True).encode()).hexdigest()
 
@@ -134,14 +136,15 @@ class TestTrainingGoldens:
     @pytest.mark.parametrize("plan_name,granularity",
                              list(GOLDENS), ids=lambda v: str(v))
     def test_training_graph_and_prediction_match_golden(
-            self, tiny_model, training, plan_name, granularity):
+            self, tiny_model, training, plan_name, granularity,
+            assemble_plan):
         expect_time, expect_util, expect_digest, expect_tasks = (
             GOLDENS[(plan_name, granularity)])
         vtrain = make_vtrain(granularity)
         plan = GOLDEN_PLANS[plan_name]
-        graph = vtrain.build_graph(tiny_model, plan, training)
-        assert len(graph.nodes) == expect_tasks
-        assert graph_digest(graph) == expect_digest
+        asm, _ = assemble_plan(vtrain, tiny_model, plan, training)
+        assert len(asm) == expect_tasks
+        assert graph_digest(asm) == expect_digest
         estimate = vtrain.predict(tiny_model, plan, training)
         assert estimate.iteration_time == expect_time
         assert estimate.gpu_compute_utilization == expect_util
