@@ -317,8 +317,7 @@ def simulate_retimed_batch(structure: GraphStructure,
 
 
 def simulate_reference(tasks: FlatAssembler, num_devices: int, *,
-                       record_timeline: bool = False,
-                       metadata: dict | None = None) -> SimulationResult:
+                       record_timeline: bool = False) -> SimulationResult:
     """Reference Algorithm-1 implementation (per-task Python loop).
 
     Kept verbatim as the executable specification: the compiled engine
@@ -338,7 +337,6 @@ def simulate_reference(tasks: FlatAssembler, num_devices: int, *,
             :meth:`~repro.graph.builder.GraphBuilder.assemble`.
         num_devices: Devices the graph runs on.
         record_timeline: Also record per-task events in pop order.
-        metadata: Attached to the result.
     """
     children = tasks.children
     num_parents = tasks.num_parents
@@ -399,7 +397,7 @@ def simulate_reference(tasks: FlatAssembler, num_devices: int, *,
 
     return SimulationResult(iteration_time=makespan, num_tasks=num_tasks,
                             device_timeline=timeline, device_busy=busy,
-                            events=events, metadata=dict(metadata or {}))
+                            events=events)
 
 
 def critical_path_length(tasks: FlatAssembler, num_devices: int) -> float:
