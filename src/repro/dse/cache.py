@@ -12,8 +12,9 @@ reason.
 prediction — to the resulting :class:`~repro.dse.explorer.DesignPoint`.
 It round-trips through strict JSON so caches survive on disk, can be
 shipped between machines, and double as sweep checkpoints
-(:class:`~repro.dse.parallel.ParallelExplorer` saves one periodically so
-interrupted sweeps resume instead of recomputing).
+(:meth:`DesignSpaceExplorer.explore(checkpoint_path=...)
+<repro.dse.explorer.DesignSpaceExplorer.explore>` saves one
+periodically so interrupted sweeps resume instead of recomputing).
 """
 
 from __future__ import annotations

@@ -29,11 +29,6 @@ from repro.sim.estimator import VTrain
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dse.cache import PredictionCache
 
-#: Upper bound on plans per batched replay: bounds the transient
-#: ``(tasks x N)`` duration matrix while keeping the vectorized sweep's
-#: per-column amortisation (throughput is flat past a few dozen columns).
-_MAX_EVAL_BATCH = 64
-
 
 @dataclass(frozen=True)
 class DesignPoint:
@@ -297,6 +292,8 @@ class DesignSpaceExplorer:
         if training is None and workload is None:
             raise ConfigError(
                 "DesignSpaceExplorer needs a training recipe or a workload")
+        if zero_stage not in (0, 1, 2, 3):
+            raise ConfigError(f"zero_stage must be 0..3, got {zero_stage!r}")
         self.model = model
         self.training = training
         self.workload = workload
@@ -304,20 +301,17 @@ class DesignSpaceExplorer:
         self.granularity = granularity
         self.network = network
         self.zero_stage = zero_stage
-        self.has_custom_system_factory = system_factory is not None
-        self._system_factory = system_factory or self._default_system
+        self.custom_system_factory = system_factory
         self._simulators: dict[int, VTrain] = {}
-
-    def _default_system(self, num_gpus: int) -> SystemConfig:
-        nodes = max(1, -(-num_gpus // self.gpus_per_node))
-        return multi_node(nodes, gpus_per_node=self.gpus_per_node,
-                          network=self.network)
 
     def system_for(self, num_gpus: int) -> SystemConfig:
         """The system a plan occupying ``num_gpus`` GPUs runs on (the
         plan's node count rounded up to whole nodes)."""
         nodes = max(1, -(-num_gpus // self.gpus_per_node))
-        return self._system_factory(nodes * self.gpus_per_node)
+        if self.custom_system_factory is not None:
+            return self.custom_system_factory(nodes * self.gpus_per_node)
+        return multi_node(nodes, gpus_per_node=self.gpus_per_node,
+                          network=self.network)
 
     def _simulator_for(self, num_gpus: int) -> VTrain:
         nodes = max(1, -(-num_gpus // self.gpus_per_node))
@@ -368,191 +362,103 @@ class DesignSpaceExplorer:
 
     def evaluate_batch(self, plans: list[ParallelismConfig],
                        ) -> list[DesignPoint]:
-        """Evaluate several plans, replaying shared structures in batch.
+        """Evaluate several plans; the sweep pipeline's unit of work.
 
-        The batched counterpart of :meth:`evaluate`: infeasible and
-        structurally invalid plans still become ``feasible=False`` rows,
-        while the survivors are prepared up front and handed to
+        Points come back in ``plans`` order, bit-identical to
+        ``[self.evaluate(p) for p in plans]``, and infeasible or
+        structurally invalid plans still become ``feasible=False`` rows.
+        Serving plans replay their small phase graphs one by one.
+        Training survivors are prepared up front and handed to
         :meth:`VTrain.predict_prepared`, which stacks runs sharing one
         compiled structure into a single vectorized
-        :func:`~repro.sim.engine.simulate_retimed_batch` sweep. Points
-        come back in ``plans`` order, bit-identical to
-        ``[self.evaluate(p) for p in plans]``.
+        :func:`~repro.sim.engine.simulate_retimed_batch` sweep.
         """
-        points: list[DesignPoint | None] = [None] * len(plans)
-        survivors: dict[int, tuple[VTrain, list[int], list]] = {}
         with obs.span("dse.evaluate_batch", category="dse",
                       plans=len(plans)):
-            for position, plan in enumerate(plans):
-                simulator = self._simulator_for(plan.total_gpus)
-                try:
-                    footprint, prepared = simulator.prepare_checked(
-                        self.model, plan, self.training)
-                except (InfeasibleConfigError, ConfigError) as exc:
-                    points[position] = DesignPoint(
-                        plan=plan, feasible=False,
-                        infeasible_reason=str(exc))
-                    obs.count("dse.plans_infeasible")
-                    continue
-                _, positions, entries = survivors.setdefault(
-                    id(simulator), (simulator, [], []))
-                positions.append(position)
-                entries.append((plan, footprint, prepared))
-            for simulator, positions, entries in survivors.values():
-                predictions = simulator.predict_prepared(
-                    self.model, self.training, entries)
-                for position, prediction in zip(positions, predictions):
-                    points[position] = DesignPoint(
-                        plan=plans[position], feasible=True,
-                        iteration_time=prediction.iteration_time,
-                        utilization=prediction.gpu_compute_utilization,
-                        memory_gib=prediction.memory_per_gpu
-                        / float(1 << 30))
+            if self.workload is not None:
+                points = [self._evaluate_serving(plan) for plan in plans]
+            else:
+                points = self._evaluate_training_batch(plans)
         obs.count("dse.plans_evaluated", len(plans))
+        obs.count("dse.plans_infeasible",
+                  sum(not point.feasible for point in points))
+        return points
+
+    def _evaluate_training_batch(self, plans: list[ParallelismConfig],
+                                 ) -> list[DesignPoint]:
+        points: list[DesignPoint | None] = [None] * len(plans)
+        survivors: dict[int, tuple[VTrain, list[int], list]] = {}
+        for position, plan in enumerate(plans):
+            simulator = self._simulator_for(plan.total_gpus)
+            try:
+                footprint, prepared = simulator.prepare_checked(
+                    self.model, plan, self.training)
+            except (InfeasibleConfigError, ConfigError) as exc:
+                points[position] = DesignPoint(
+                    plan=plan, feasible=False, infeasible_reason=str(exc))
+                continue
+            _, positions, entries = survivors.setdefault(
+                id(simulator), (simulator, [], []))
+            positions.append(position)
+            entries.append((plan, footprint, prepared))
+        for simulator, positions, entries in survivors.values():
+            predictions = simulator.predict_prepared(
+                self.model, self.training, entries)
+            for position, prediction in zip(positions, predictions):
+                points[position] = DesignPoint(
+                    plan=plans[position], feasible=True,
+                    iteration_time=prediction.iteration_time,
+                    utilization=prediction.gpu_compute_utilization,
+                    memory_gib=prediction.memory_per_gpu / float(1 << 30))
         return points
 
     def explore(self, *, space: SearchSpace = SearchSpace(),
                 num_gpus: int | None = None, max_gpus: int | None = None,
                 plans: Iterable[ParallelismConfig] | None = None,
-                workers: int | None = None,
+                workers: int = 1,
                 cache: "PredictionCache | None" = None,
-                checkpoint_path: Any = None,
+                checkpoint_path: str | Path | None = None,
                 progress: Callable[[int, int], None] | None = None,
                 ) -> DSEResult:
         """Evaluate a plan iterable (or the enumerated search space).
 
+        The one sweep driver for training and serving; the pipeline
+        itself is :func:`repro.dse.parallel.run_sweep`.
+
         Args:
             space / num_gpus / max_gpus / plans: What to sweep (see
-                :func:`repro.dse.space.enumerate_plans`).
+                :func:`repro.dse.space.enumerate_plans`, or
+                :func:`repro.dse.space.enumerate_serving_plans` when the
+                explorer has a workload).
             workers: Evaluate plans on this many worker processes
-                (``> 1`` fans out via :class:`repro.dse.parallel.
-                ParallelExplorer`; results are merged back into plan
-                order, bit-identical to the serial sweep).
+                (``1``, the default, evaluates in-process). Results are
+                merged back into plan order, bit-identical whatever the
+                count. A custom ``system_factory`` must be picklable (a
+                module-level function) when ``workers > 1``.
             cache: A :class:`~repro.dse.cache.PredictionCache`; plans
-                whose fingerprint is already cached skip simulation.
+                whose fingerprint is already cached skip simulation, and
+                evaluated plans are stored in it.
             checkpoint_path: JSON file the sweep's cache is periodically
                 saved to, and resumed from when it already exists.
-            progress: Callback ``progress(completed, total)`` invoked as
-                the sweep advances.
-        """
-        if self.workload is not None:
-            return self._explore_serving(space=space, num_gpus=num_gpus,
-                                         max_gpus=max_gpus, plans=plans,
-                                         cache=cache,
-                                         checkpoint_path=checkpoint_path,
-                                         progress=progress)
-        if (workers is not None and workers > 1) or cache is not None \
-                or checkpoint_path is not None or progress is not None:
-            from repro.dse.parallel import ParallelExplorer
-            engine = ParallelExplorer(
-                self.model, self.training,
-                workers=workers if workers is not None else 1,
-                gpus_per_node=self.gpus_per_node,
-                granularity=self.granularity,
-                network=self.network,
-                system_factory=(self._system_factory
-                                if self.has_custom_system_factory else None),
-                zero_stage=self.zero_stage,
-                cache=cache, checkpoint_path=checkpoint_path,
-                progress=progress)
-            return engine.explore(space=space, num_gpus=num_gpus,
-                                  max_gpus=max_gpus, plans=plans)
-        if plans is None:
-            plans = enumerate_plans(self.model, self.training, space=space,
-                                    num_gpus=num_gpus, max_gpus=max_gpus)
-        plan_list = list(plans)
-        result = DSEResult(model=self.model, training=self.training,
-                           points=[None] * len(plan_list))
-        # Evaluate in structure-affinity groups: plans sharing a
-        # compiled graph topology run together, so each group compiles
-        # once and replays every member in one vectorized batch
-        # (predictions are order-independent, and results are restored
-        # to plan order below).
-        for group in self._affinity_groups(plan_list):
-            evaluated = self.evaluate_batch([plan_list[i] for i in group])
-            for index, point in zip(group, evaluated):
-                result.points[index] = point
-        return result
+            progress: Callback ``progress(completed, total)`` invoked
+                after the cache scan and as chunks finish.
 
-    def _explore_serving(self, *, space: SearchSpace,
-                         num_gpus: int | None, max_gpus: int | None,
-                         plans: Iterable[ParallelismConfig] | None,
-                         cache: "PredictionCache | None",
-                         checkpoint_path: Any,
-                         progress: Callable[[int, int], None] | None,
-                         ) -> DSEResult:
-        """Serving sweep: each plan replays a prefill + decode graph.
-
-        Serial by design — phase graphs are small (no backward half) and
-        the process-wide structure cache already collapses repeat
-        topologies — but honours the same cache / checkpoint / progress
-        contract as the training sweep.
+        Raises:
+            ConfigError: ``workers`` is not an int >= 1.
         """
-        from repro.dse.cache import PredictionCache, fingerprint
+        if not isinstance(workers, int) or workers < 1:
+            raise ConfigError(f"workers must be an int >= 1, got {workers!r}")
+        from repro.dse.parallel import run_sweep
 
         if plans is None:
-            plans = enumerate_serving_plans(self.model, self.workload,
-                                            space=space, num_gpus=num_gpus,
-                                            max_gpus=max_gpus)
-        plan_list = list(plans)
-        if cache is None and checkpoint_path is not None:
-            cache = (PredictionCache.load(checkpoint_path)
-                     if Path(checkpoint_path).exists() else PredictionCache())
-        result = DSEResult(model=self.model, training=self.training,
-                           points=[])
-        with obs.span("dse.explore_serving", category="dse",
-                      plans=len(plan_list)):
-            for completed, plan in enumerate(plan_list, start=1):
-                key = None
-                if cache is not None:
-                    key = fingerprint(self.model, plan, self.training,
-                                      self.system_for(plan.total_gpus),
-                                      self.granularity,
-                                      zero_stage=self.zero_stage,
-                                      workload=self.workload)
-                    point = cache.get(key)
-                    if point is not None:
-                        result.points.append(point)
-                        if progress is not None:
-                            progress(completed, len(plan_list))
-                        continue
-                point = self._evaluate_serving(plan)
-                result.points.append(point)
-                if cache is not None:
-                    cache.put(key, point)
-                if progress is not None:
-                    progress(completed, len(plan_list))
-            if cache is not None and checkpoint_path is not None:
-                cache.save(checkpoint_path)
-        obs.count("dse.plans_evaluated", len(plan_list))
-        return result
-
-    def _affinity_groups(self, plans: list[ParallelismConfig],
-                         ) -> list[list[int]]:
-        """Indices of ``plans`` grouped to co-locate shared structures.
-
-        Groups are emitted in affinity-sorted order (ties and
-        un-fingerprintable plans keep their original order, so the
-        flattened sequence matches the historical evaluation order);
-        consecutive plans sharing a structure fingerprint share a group,
-        capped at ``_MAX_EVAL_BATCH``, while un-fingerprintable plans
-        are singletons.
-        """
-        from repro.graph.builder import structure_affinity
-
-        keyed = sorted(
-            ((structure_affinity(self.model, plans[index], self.training,
-                                 self.granularity), index)
-             for index in range(len(plans))),
-            key=lambda row: ("~" if row[0] is None else row[0], row[1]))
-        groups: list[list[int]] = []
-        previous_key = None
-        for key, index in keyed:
-            extend = (key is not None and groups and key == previous_key
-                      and len(groups[-1]) < _MAX_EVAL_BATCH)
-            if extend:
-                groups[-1].append(index)
+            if self.workload is None:
+                plans = enumerate_plans(self.model, self.training,
+                                        space=space, num_gpus=num_gpus,
+                                        max_gpus=max_gpus)
             else:
-                groups.append([index])
-            previous_key = key
-        return groups
+                plans = enumerate_serving_plans(self.model, self.workload,
+                                                space=space,
+                                                num_gpus=num_gpus,
+                                                max_gpus=max_gpus)
+        return run_sweep(self, list(plans), workers=workers, cache=cache,
+                         checkpoint_path=checkpoint_path, progress=progress)

@@ -1,47 +1,49 @@
-"""Parallel, cache-aware design-space sweep engine.
+"""The one design-space sweep pipeline, in-process or on a process pool.
 
 The paper's headline capability is sweeping the entire MT-NLG
-parallelization space "in under 200 seconds". Plan evaluations are
-independent of each other — embarrassingly parallel — so this module
-fans them out over a :class:`concurrent.futures.ProcessPoolExecutor` in
-chunked work units, while a :class:`~repro.dse.cache.PredictionCache`
-short-circuits plans whose prediction is already known (warm caches,
-repeated sweeps, or a checkpoint left by an interrupted run).
+parallelization space "in under 200 seconds". Every sweep — training or
+serving, one process or many — runs :func:`run_sweep`, which
+:meth:`~repro.dse.explorer.DesignSpaceExplorer.explore` calls:
 
-Determinism contract: the merged :class:`~repro.dse.explorer.DSEResult`
-lists points in the original plan order and is bit-identical to what the
-serial :class:`~repro.dse.explorer.DesignSpaceExplorer` produces — the
-workers run exactly the same evaluation code on the same deterministic
+1. with a :class:`~repro.dse.cache.PredictionCache` or checkpoint,
+   fingerprint each plan and take the cached points (a checkpoint left
+   by an interrupted run is merged into the cache first);
+2. order what is left — training plans by structure affinity, so plans
+   sharing a compiled graph topology land in the same chunk; serving
+   plans keep enumeration order;
+3. cut it into chunks and run
+   :meth:`~repro.dse.explorer.DesignSpaceExplorer.evaluate_batch` on
+   each, in-process at ``workers == 1`` or on a
+   :class:`concurrent.futures.ProcessPoolExecutor` otherwise;
+4. merge results by index, store them in the cache, report progress and
+   save the checkpoint every :data:`_CHECKPOINT_EVERY` chunks and at the
+   end.
+
+Determinism contract: points come back in plan order and are
+bit-identical whatever the worker count, cache state or chunking — the
+workers run the same evaluation code on the same deterministic
 analytical device model, and results are merged by index.
 
 Each worker process hosts one long-lived
 :class:`~repro.dse.explorer.DesignSpaceExplorer`, so per-worker
-profiling state (the necessary-operator lookup table) warms once and is
-reused across every chunk that worker pulls. The compiled-structure
-cache (:func:`repro.graph.builder.structure_cache_stats`) is likewise
-per-process: plans that share a structural fingerprint — same pipeline
-depth, schedule, micro-batch count, and bucket layout — reuse one
-compiled topology inside each worker and only refill durations, while
-predictions stay bit-identical to the serial sweep (and to pre-split
-releases, so persisted :class:`PredictionCache` files remain valid).
+profiling state (the necessary-operator lookup table) and the
+compiled-structure cache (:func:`repro.graph.builder.
+structure_cache_stats`) warm once and are reused across every chunk
+that worker pulls.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import os
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterator
 
 from repro import obs
 from repro.config.model import ModelConfig
 from repro.config.parallelism import ParallelismConfig, TrainingConfig
-from repro.config.system import SystemConfig
 from repro.dse.cache import PredictionCache, fingerprint
 from repro.dse.explorer import DesignPoint, DesignSpaceExplorer, DSEResult
-from repro.dse.space import SearchSpace, enumerate_plans
-from repro.errors import ConfigError
-from repro.graph.builder import Granularity
+from repro.graph import builder
 
 #: Chunks are sized so each worker sees roughly this many chunks over a
 #: sweep — large enough to amortise IPC, small enough to balance load.
@@ -51,6 +53,9 @@ _CHUNKS_PER_WORKER = 4
 #: and report progress at a reasonable cadence.
 _MAX_CHUNK_SIZE = 64
 
+#: Checkpoint cadence, in completed chunks.
+_CHECKPOINT_EVERY = 8
+
 # ---------------------------------------------------------------------------
 # Worker-process machinery (module-level so it pickles under spawn/fork)
 # ---------------------------------------------------------------------------
@@ -58,246 +63,122 @@ _MAX_CHUNK_SIZE = 64
 _WORKER_EXPLORER: DesignSpaceExplorer | None = None
 
 
-def _init_worker(model_dict: dict[str, Any], training_dict: dict[str, Any],
-                 gpus_per_node: int, granularity_value: str, network: str,
-                 system_factory: Callable[[int], SystemConfig] | None,
-                 zero_stage: int,
-                 ) -> None:
-    """Build this worker's long-lived explorer from serialized configs."""
+def _init_worker(model: ModelConfig, training: TrainingConfig | None,
+                 options: dict[str, Any]) -> None:
+    """Build this worker's long-lived explorer."""
     global _WORKER_EXPLORER
-    _WORKER_EXPLORER = DesignSpaceExplorer(
-        ModelConfig.from_dict(model_dict),
-        TrainingConfig.from_dict(training_dict),
-        gpus_per_node=gpus_per_node,
-        granularity=Granularity(granularity_value),
-        network=network,
-        system_factory=system_factory,
-        zero_stage=zero_stage)
+    _WORKER_EXPLORER = DesignSpaceExplorer(model, training, **options)
 
 
-def _evaluate_chunk(chunk: list[tuple[int, dict[str, Any]]],
-                    ) -> list[tuple[int, dict[str, Any]]]:
-    """Evaluate one work unit: [(index, plan dict)] -> [(index, point dict)].
+def _evaluate_chunk(plans: list[ParallelismConfig]) -> list[DesignPoint]:
+    """Evaluate one work unit in a worker process.
 
-    The whole chunk goes through
-    :meth:`DesignSpaceExplorer.evaluate_batch`, so plans that share a
-    compiled structure — chunks are cut in affinity order, making that
-    the common case — replay in one vectorized sweep per worker.
+    Observability state is per-process: a worker's spans and metrics
+    stay in the worker. Counters the parent cares about (cache hits) are
+    re-counted when it absorbs results through its own cache.
     """
     assert _WORKER_EXPLORER is not None, "worker initializer did not run"
-    plans = [ParallelismConfig.from_dict(plan_dict)
-             for _, plan_dict in chunk]
-    # Observability state is per-process: a worker's spans/metrics stay
-    # in the worker. Counters the parent cares about (cache hits) are
-    # re-counted when it absorbs results through its own cache.
     with obs.span("dse.chunk", category="dse", plans=len(plans)):
-        points = _WORKER_EXPLORER.evaluate_batch(plans)
-    return [(index, point.to_dict())
-            for (index, _), point in zip(chunk, points)]
+        return _WORKER_EXPLORER.evaluate_batch(plans)
 
 
-class ParallelExplorer:
-    """Fan a design-space sweep out over worker processes, with caching.
+# ---------------------------------------------------------------------------
+# The pipeline
+# ---------------------------------------------------------------------------
 
-    Drop-in alternative to :class:`DesignSpaceExplorer.explore` for large
-    sweeps (``DesignSpaceExplorer.explore(workers=...)`` delegates here).
+def run_sweep(explorer: DesignSpaceExplorer,
+              plans: list[ParallelismConfig], *, workers: int,
+              cache: PredictionCache | None,
+              checkpoint_path: str | Path | None,
+              progress: Callable[[int, int], None] | None) -> DSEResult:
+    """Evaluate ``plans`` with ``explorer``; points come back in order.
 
-    Args:
-        model: Target LLM.
-        training: Batch/token recipe.
-        workers: Worker processes. ``1`` evaluates in-process (still
-            cache-aware); ``None`` uses the machine's CPU count.
-        gpus_per_node: Node size used to derive per-plan systems.
-        granularity: Graph granularity (STAGE recommended for sweeps).
-        network: Inter-node fabric spec for derived systems (``flat``,
-            ``rail`` or ``fat-tree:<ratio>``); ignored when a custom
-            ``system_factory`` is given.
-        system_factory: Override how a plan's GPU count becomes a
-            :class:`SystemConfig`. Must be picklable (a module-level
-            function) when ``workers > 1``.
-        zero_stage: ZeRO sharding stage (0-3) assumed by the memory
-            feasibility filter; enters the cache fingerprint when
-            non-default.
-        cache: Prediction cache consulted before evaluating and updated
-            after; omit to create a private one (exposed as ``.cache``).
-        checkpoint_path: JSON file the cache is saved to every
-            ``checkpoint_every`` completed chunks and at sweep end. If it
-            already exists it is loaded first, so an interrupted sweep
-            resumes from where it stopped.
-        checkpoint_every: Checkpoint cadence, in completed chunks.
-        chunk_size: Plans per work unit (default: sized so each worker
-            receives a handful of chunks).
-        progress: Callback ``progress(completed, total)`` invoked after
-            the cache scan and as chunks finish.
+    See the module docstring for the steps; the arguments are those of
+    :meth:`DesignSpaceExplorer.explore`, already validated.
     """
+    total = len(plans)
+    points: list[DesignPoint | None] = [None] * total
 
-    def __init__(self, model: ModelConfig, training: TrainingConfig, *,
-                 workers: int | None = None,
-                 gpus_per_node: int = 8,
-                 granularity: Granularity = Granularity.STAGE,
-                 network: str = "flat",
-                 system_factory: Callable[[int], SystemConfig] | None = None,
-                 zero_stage: int = 1,
-                 cache: PredictionCache | None = None,
-                 checkpoint_path: str | Path | None = None,
-                 checkpoint_every: int = 8,
-                 chunk_size: int | None = None,
-                 progress: Callable[[int, int], None] | None = None,
-                 ) -> None:
-        if workers is not None and workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigError("chunk_size must be >= 1")
-        if checkpoint_every < 1:
-            raise ConfigError("checkpoint_every must be >= 1")
-        self.model = model
-        self.training = training
-        self.workers = workers if workers is not None else (os.cpu_count()
-                                                            or 1)
-        self.gpus_per_node = gpus_per_node
-        self.granularity = granularity
-        self.network = network
-        self.zero_stage = zero_stage
-        self.cache = cache if cache is not None else PredictionCache()
-        self.checkpoint_path = (Path(checkpoint_path)
-                                if checkpoint_path is not None else None)
-        self.checkpoint_every = checkpoint_every
-        self.chunk_size = chunk_size
-        self.progress = progress
-        self._system_factory = system_factory
-        # Serial twin: derives per-plan systems for fingerprinting and
-        # evaluates in-process when workers == 1.
-        self._serial = DesignSpaceExplorer(
-            model, training, gpus_per_node=gpus_per_node,
-            granularity=granularity, network=network,
-            system_factory=system_factory, zero_stage=zero_stage)
+    def report(done: int) -> None:
+        if progress is not None:
+            progress(done, total)
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
-    def explore(self, *, space: SearchSpace = SearchSpace(),
-                num_gpus: int | None = None, max_gpus: int | None = None,
-                plans: Iterable[ParallelismConfig] | None = None,
-                ) -> DSEResult:
-        """Sweep the space; returns points in enumeration order."""
-        if plans is None:
-            plans = enumerate_plans(self.model, self.training, space=space,
-                                    num_gpus=num_gpus, max_gpus=max_gpus)
-        plan_list = list(plans)
-        total = len(plan_list)
-        with obs.span("dse.sweep", category="dse", plans=total,
-                      workers=self.workers):
-            return self._explore_plans(plan_list, total)
+    with obs.span("dse.sweep", category="dse", plans=total,
+                  workers=workers):
+        if checkpoint_path is not None:
+            checkpoint_path = Path(checkpoint_path)
+            if cache is None:
+                cache = PredictionCache()
+            if checkpoint_path.exists():
+                cache.merge(PredictionCache.load(checkpoint_path))
 
-    def _explore_plans(self, plan_list: list[ParallelismConfig],
-                       total: int) -> DSEResult:
-        self._load_checkpoint()
+        keys: list[str | None] = [None] * total
+        pending: list[int] = []
+        for index, plan in enumerate(plans):
+            if cache is not None:
+                keys[index] = fingerprint(
+                    explorer.model, plan, explorer.training,
+                    explorer.system_for(plan.total_gpus),
+                    explorer.granularity, zero_stage=explorer.zero_stage,
+                    workload=explorer.workload)
+                points[index] = cache.get(keys[index])
+            if points[index] is None:
+                pending.append(index)
+        if explorer.workload is None:
+            pending.sort(key=lambda index: (builder.structure_affinity(
+                explorer.model, plans[index], explorer.training,
+                explorer.granularity) or "~", index))
+        done = total - len(pending)
+        report(done)
 
-        points: list[DesignPoint | None] = [None] * total
-        pending: list[tuple[int, ParallelismConfig, str]] = []
-        for index, plan in enumerate(plan_list):
-            key = self.fingerprint_for(plan)
-            cached = self.cache.get(key)
-            if cached is not None:
-                points[index] = cached
-            else:
-                pending.append((index, plan, key))
-        # Chunk in structure-affinity order: plans sharing a compiled
-        # graph topology land in the same work unit, so each worker
-        # compiles a structure once and re-times it for the rest of the
-        # group. Results are merged back by index, so the returned
-        # point order (and every prediction) is unchanged.
-        from repro.graph.builder import structure_affinity
-        pending.sort(key=lambda entry: (
-            structure_affinity(self.model, entry[1], self.training,
-                               self.granularity) or "~", entry[0]))
-        self._report(total - len(pending), total)
+        size = max(1, min(_MAX_CHUNK_SIZE,
+                          -(-len(pending) // (workers * _CHUNKS_PER_WORKER))))
+        chunks = [pending[start:start + size]
+                  for start in range(0, len(pending), size)]
+        for completed, (chunk, evaluated) in enumerate(
+                _evaluate_chunks(explorer, plans, chunks, workers), start=1):
+            for index, point in zip(chunk, evaluated):
+                points[index] = point
+                if cache is not None:
+                    cache.put(keys[index], point)
+            done += len(chunk)
+            report(done)
+            if checkpoint_path is not None \
+                    and completed % _CHECKPOINT_EVERY == 0:
+                cache.save(checkpoint_path)
+        if checkpoint_path is not None:
+            cache.save(checkpoint_path)
 
-        if pending:
-            chunks = self._chunk(pending)
-            if self.workers > 1:
-                self._run_pool(chunks, points, total)
-            else:
-                self._run_serial(chunks, points, total)
-            self._save_checkpoint()
+    assert all(point is not None for point in points)
+    return DSEResult(model=explorer.model, training=explorer.training,
+                     points=points)
 
-        assert all(point is not None for point in points)
-        return DSEResult(model=self.model, training=self.training,
-                         points=points)
 
-    def fingerprint_for(self, plan: ParallelismConfig) -> str:
-        """Cache key of one plan under this sweep's model/system/detail."""
-        return fingerprint(self.model, plan, self.training,
-                           self._serial.system_for(plan.total_gpus),
-                           self.granularity, zero_stage=self.zero_stage)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _chunk(self, pending: list[tuple[int, ParallelismConfig, str]],
-               ) -> list[list[tuple[int, ParallelismConfig, str]]]:
-        size = self.chunk_size
-        if size is None:
-            per_worker = -(-len(pending) // (self.workers
-                                             * _CHUNKS_PER_WORKER))
-            size = max(1, min(_MAX_CHUNK_SIZE, per_worker))
-        return [pending[start:start + size]
-                for start in range(0, len(pending), size)]
-
-    def _absorb(self, chunk_keys: dict[int, str],
-                results: list[tuple[int, DesignPoint]],
-                points: list[DesignPoint | None]) -> None:
-        for index, point in results:
-            points[index] = point
-            self.cache.put(chunk_keys[index], point)
-
-    def _run_pool(self, chunks, points, total) -> None:
-        init_args = (self.model.to_dict(), self.training.to_dict(),
-                     self.gpus_per_node, self.granularity.value,
-                     self.network, self._system_factory, self.zero_stage)
-        max_workers = min(self.workers, len(chunks))
-        done = total - sum(len(chunk) for chunk in chunks)
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=max_workers, initializer=_init_worker,
-                initargs=init_args) as pool:
-            futures = {}
-            for chunk in chunks:
-                payload = [(index, plan.to_dict()) for index, plan, _ in chunk]
-                future = pool.submit(_evaluate_chunk, payload)
-                futures[future] = {index: key for index, _, key in chunk}
-            completed_chunks = 0
-            for future in concurrent.futures.as_completed(futures):
-                results = [(index, DesignPoint.from_dict(payload))
-                           for index, payload in future.result()]
-                self._absorb(futures[future], results, points)
-                completed_chunks += 1
-                done += len(results)
-                self._report(done, total)
-                if completed_chunks % self.checkpoint_every == 0:
-                    self._save_checkpoint()
-
-    def _run_serial(self, chunks, points, total) -> None:
-        done = total - sum(len(chunk) for chunk in chunks)
-        for completed_chunks, chunk in enumerate(chunks, start=1):
-            evaluated = self._serial.evaluate_batch(
-                [plan for _, plan, _ in chunk])
-            results = [(index, point) for (index, _, _), point
-                       in zip(chunk, evaluated)]
-            self._absorb({index: key for index, _, key in chunk},
-                         results, points)
-            done += len(results)
-            self._report(done, total)
-            if completed_chunks % self.checkpoint_every == 0:
-                self._save_checkpoint()
-
-    def _report(self, done: int, total: int) -> None:
-        if self.progress is not None:
-            self.progress(done, total)
-
-    def _load_checkpoint(self) -> None:
-        if self.checkpoint_path is not None and self.checkpoint_path.exists():
-            self.cache.merge(PredictionCache.load(self.checkpoint_path))
-
-    def _save_checkpoint(self) -> None:
-        if self.checkpoint_path is not None:
-            self.cache.save(self.checkpoint_path)
+def _evaluate_chunks(explorer: DesignSpaceExplorer,
+                     plans: list[ParallelismConfig],
+                     chunks: list[list[int]], workers: int,
+                     ) -> Iterator[tuple[list[int], list[DesignPoint]]]:
+    """Yield ``(chunk, points)`` as chunks finish, in any order."""
+    if workers == 1:
+        for chunk in chunks:
+            yield chunk, explorer.evaluate_batch(
+                [plans[index] for index in chunk])
+        return
+    if not chunks:
+        return
+    options = {
+        "gpus_per_node": explorer.gpus_per_node,
+        "granularity": explorer.granularity,
+        "network": explorer.network,
+        "system_factory": explorer.custom_system_factory,
+        "zero_stage": explorer.zero_stage,
+        "workload": explorer.workload,
+    }
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(workers, len(chunks)), initializer=_init_worker,
+            initargs=(explorer.model, explorer.training, options)) as pool:
+        futures = {pool.submit(_evaluate_chunk,
+                               [plans[index] for index in chunk]): chunk
+                   for chunk in chunks}
+        for future in concurrent.futures.as_completed(futures):
+            yield futures[future], future.result()

@@ -82,8 +82,8 @@ class Granularity(enum.Enum):
 # different tensor degree with tensor parallelism still on, a perturbed
 # device or NCCL model, or simply a repeated VTrain.predict of the same
 # plan — share one compiled topology and only refill the duration
-# vector. The cache is per-process by design (ParallelExplorer workers
-# each warm their own), LRU-evicted against a total-task budget.
+# vector. The cache is per-process by design (the workers of a pooled
+# sweep each warm their own), LRU-evicted against a total-task budget.
 #
 # All cache operations hold _STRUCTURE_CACHE_LOCK: the `repro serve`
 # daemon retimes one shared cache from many handler threads, and the

@@ -90,7 +90,7 @@ GIB = float(1 << 30)
 DEFAULT_BATCH_WINDOW_S = 0.002
 
 #: Upper bound on jobs per batch flush (transient duration-matrix
-#: memory; matches the DSE explorers' sweep cap).
+#: memory; matches the sweep pipeline's chunk cap).
 DEFAULT_MAX_BATCH = 64
 
 Notify = Callable[[dict[str, Any]], None]
@@ -101,6 +101,30 @@ def _preset_description(preset: str) -> InputDescription:
     cli imports serve for the ``--connect`` path)."""
     from repro.cli import _preset_description as cli_preset
     return cli_preset(preset)
+
+
+def _dse_int(params: dict[str, Any], name: str, default: int | None,
+             ) -> int | None:
+    """The int ``dse`` parameter ``name``, or ``default`` when absent or
+    null; anything else is a ConfigError."""
+    value = params.get(name)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"dse '{name}' must be an int, got {value!r}")
+    return value
+
+
+def _dse_ints(params: dict[str, Any], name: str,
+              default: tuple[int, ...]) -> tuple[int, ...]:
+    """The list ``dse`` parameter ``name`` as a tuple (SearchSpace checks
+    its entries), or ``default`` when absent or null."""
+    value = params.get(name)
+    if value is None:
+        return default
+    if not isinstance(value, list):
+        raise ConfigError(f"dse '{name}' must be a list, got {value!r}")
+    return tuple(value)
 
 
 @dataclass
@@ -599,11 +623,14 @@ class PredictionService:
         if not isinstance(model_key, str):
             raise ConfigError("dse needs a 'model' preset key")
         model = self._dse_model(model_key)
-        num_gpus = params.get("num_gpus")
-        max_gpus = params.get("max_gpus")
+        num_gpus = _dse_int(params, "num_gpus", None)
+        max_gpus = _dse_int(params, "max_gpus", None)
         if (num_gpus is None) == (max_gpus is None):
             raise ConfigError(
                 "dse needs exactly one of 'num_gpus' or 'max_gpus'")
+        top = _dse_int(params, "top", 10)
+        if top < 0:
+            raise ConfigError(f"dse 'top' must be >= 0, got {top}")
         network = str(params.get("network", "flat"))
         NetworkSpec.parse(network)
         try:
@@ -611,15 +638,20 @@ class PredictionService:
         except ValueError as exc:
             raise ConfigError(f"unknown granularity: {exc}") from None
         training = TrainingConfig(
-            global_batch_size=int(params.get("global_batch", 64)),
-            total_tokens=int(params.get("total_tokens", 0)))
+            global_batch_size=_dse_int(params, "global_batch", 64),
+            total_tokens=_dse_int(params, "total_tokens", 0))
         space = SearchSpace(
-            max_tensor=int(params.get("max_tensor", 16)),
-            max_data=int(params.get("max_data", 32)),
-            max_pipeline=int(params.get("max_pipeline", 105)),
-            micro_batch_sizes=tuple(
-                params.get("micro_batches", (1, 2, 4, 8, 16))),
-            virtual_stages=tuple(params.get("virtual_stages", (1,))))
+            max_tensor=_dse_int(params, "max_tensor", 16),
+            max_data=_dse_int(params, "max_data", 32),
+            max_pipeline=_dse_int(params, "max_pipeline", 105),
+            micro_batch_sizes=_dse_ints(params, "micro_batches",
+                                        (1, 2, 4, 8, 16)),
+            virtual_stages=_dse_ints(params, "virtual_stages", (1,)))
+        explorer = DesignSpaceExplorer(
+            model, training,
+            gpus_per_node=_dse_int(params, "gpus_per_node", 8),
+            granularity=granularity, network=network,
+            zero_stage=_dse_int(params, "zero_stage", 1))
 
         last_emitted = -1
 
@@ -634,18 +666,10 @@ class PredictionService:
             notify(protocol.notification(
                 "dse.progress", {"done": done, "total": total}))
 
-        explorer = DesignSpaceExplorer(
-            model, training,
-            gpus_per_node=int(params.get("gpus_per_node", 8)),
-            granularity=granularity, network=network,
-            zero_stage=int(params.get("zero_stage", 1)))
-        result = explorer.explore(
-            space=space,
-            num_gpus=int(num_gpus) if num_gpus is not None else None,
-            max_gpus=int(max_gpus) if max_gpus is not None else None,
-            cache=self.cache, progress=progress)
+        result = explorer.explore(space=space, num_gpus=num_gpus,
+                                  max_gpus=max_gpus, cache=self.cache,
+                                  progress=progress)
 
-        top = int(params.get("top", 10))
         feasible = sorted(result.feasible_points,
                           key=lambda point: point.iteration_time)
         payload: dict[str, Any] = {

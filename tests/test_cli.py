@@ -321,6 +321,18 @@ class TestInferenceCli:
         assert "tokens_per_s" in header
         assert "cost_per_million_tokens_usd" in header
 
+    def test_dse_inference_workers_match_serial(self, tmp_path, capsys):
+        args = ["dse", "gpt-3-175b", "--workload", "inference",
+                "--batch-size", "8", "--prompt-len", "128", "--gen-len",
+                "64", "--max-gpus", "16", "--max-data", "2", "--quiet"]
+        for workers in ("1", "2"):
+            assert main(args + ["--workers", workers, "--csv",
+                                str(tmp_path / f"w{workers}.csv")]) == 0
+        assert ((tmp_path / "w1.csv").read_text()
+                == (tmp_path / "w2.csv").read_text())
+        assert main(args + ["--workers", "0"]) == 1
+        assert "workers must be" in capsys.readouterr().err
+
     def test_dse_inference_rejects_virtual_stages(self, capsys):
         assert main(["dse", "gpt-3-175b", "--workload", "inference",
                      "--batch-size", "8", "--prompt-len", "128",

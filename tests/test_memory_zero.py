@@ -160,14 +160,17 @@ class TestZeroStageThreading:
                                                            batch8):
         """Different ZeRO stages must not share cached predictions; the
         default stage keeps the pre-existing fingerprint."""
-        from repro.dse.cache import fingerprint
-        from repro.dse.parallel import ParallelExplorer
-        plan = ParallelismConfig(tensor=1, data=8, pipeline=1)
-        default = ParallelExplorer(big_model, batch8, workers=1)
-        stage3 = ParallelExplorer(big_model, batch8, workers=1,
-                                  zero_stage=3)
-        assert default.fingerprint_for(plan) != stage3.fingerprint_for(plan)
-        system = default._serial.system_for(plan.total_gpus)
+        from repro.dse.cache import PredictionCache, fingerprint
+        from repro.dse.explorer import DesignSpaceExplorer
         from repro.graph.builder import Granularity
-        assert default.fingerprint_for(plan) == fingerprint(
-            big_model, plan, batch8, system, Granularity.STAGE)
+        plan = ParallelismConfig(tensor=1, data=8, pipeline=1)
+        default = DesignSpaceExplorer(big_model, batch8)
+        cache = PredictionCache()
+        default.explore(plans=[plan], cache=cache)
+        system = default.system_for(plan.total_gpus)
+        assert list(cache.to_dict()["entries"]) == [fingerprint(
+            big_model, plan, batch8, system, Granularity.STAGE)]
+        DesignSpaceExplorer(big_model, batch8, zero_stage=3).explore(
+            plans=[plan], cache=cache)
+        assert cache.hits == 0
+        assert cache.misses == len(cache) == 2

@@ -29,7 +29,7 @@ from repro.config.model import ModelConfig
 from repro.config.parallelism import ParallelismConfig, TrainingConfig
 from repro.config.system import single_node
 from repro.dse.cache import PredictionCache, fingerprint
-from repro.dse.explorer import DesignPoint
+from repro.dse.explorer import DesignPoint, DesignSpaceExplorer
 from repro.errors import ReproError
 from repro.graph.builder import (Granularity, clear_structure_cache,
                                  structure_cache_get, structure_cache_put,
@@ -312,12 +312,42 @@ class TestDispatch:
             protocol.request(5, "shutdown"), lambda note: None)
         assert response["result"] == {"ok": True} and shutdown
 
-    def test_dispatch_never_raises_on_internal_error(self, service):
+    def test_dispatch_never_raises_on_internal_error(self, service,
+                                                     monkeypatch):
+        def broken_dse(params, notify=None):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(service, "dse", broken_dse)
         response, _ = service.dispatch(
             protocol.request(6, "dse", {"model": "megatron-1.7b",
-                                        "num_gpus": "not-a-number"}),
+                                        "num_gpus": 8}),
             lambda note: None)
         assert response["error"]["code"] == protocol.INTERNAL_ERROR
+        assert "RuntimeError" in response["error"]["message"]
+
+    @pytest.mark.parametrize("bad", [
+        {"num_gpus": "not-a-number"},
+        {"num_gpus": 8.0},
+        {"num_gpus": True},
+        {"max_gpus": "8"},
+        {"num_gpus": 8, "top": "3"},
+        {"num_gpus": 8, "top": -1},
+        {"num_gpus": 8, "micro_batches": 4},
+        {"num_gpus": 8, "micro_batches": "12"},
+        {"num_gpus": 8, "zero_stage": 9},
+        {"num_gpus": 8, "zero_stage": "1"},
+        {"num_gpus": 8, "global_batch": "64"},
+    ], ids=repr)
+    def test_dse_rejects_bad_params_before_sweeping(self, service, bad,
+                                                    monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep started on invalid params")
+
+        monkeypatch.setattr(DesignSpaceExplorer, "explore", no_sweep)
+        response, _ = service.dispatch(
+            protocol.request(8, "dse", {"model": "megatron-1.7b", **bad}),
+            lambda note: None)
+        assert response["error"]["code"] == protocol.INVALID_PARAMS
 
     def test_stats_shape(self, service):
         service.predict({"description": tiny_description().to_dict()})
