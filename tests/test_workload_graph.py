@@ -27,12 +27,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.config.parallelism import ParallelismConfig, TrainingConfig
-from repro.config.system import single_node
+import numpy as np
+
+from repro.config.parallelism import (ParallelismConfig, PipelineSchedule,
+                                      TrainingConfig)
+from repro.config.presets import (GPT3_175B, GPT3_TRAINING, MT_NLG_530B,
+                                  MT_NLG_TRAINING)
+from repro.config.system import multi_node, single_node
 from repro.errors import ConfigError
-from repro.graph.builder import (Granularity, clear_structure_cache,
+from repro.graph.builder import (GraphBuilder, Granularity,
+                                 clear_structure_cache,
                                  structure_fingerprint)
 from repro.obs.export import events_from_trace, simulation_trace_events
+from repro.sim.engine import simulate_reference
 from repro.sim.estimator import VTrain
 from repro.workload import (DECODE, INFERENCE_PHASES, PREFILL,
                             InferenceWorkload, TrainingWorkload)
@@ -51,6 +58,25 @@ GOLDEN_PLANS = {
                                    micro_batch_size=4),
     "tp2dp1pp2v2": ParallelismConfig(tensor=2, data=1, pipeline=2,
                                      micro_batch_size=2, virtual_stages=2),
+    # Shapes the chunk-template stamp special-cases; pinned from the
+    # per-task emitter it replaced.
+    "tp2dp2pp2gpipe": ParallelismConfig(tensor=2, data=2, pipeline=2,
+                                        micro_batch_size=2,
+                                        schedule=PipelineSchedule.GPIPE),
+    "tp2dp2pp2nobucket": ParallelismConfig(tensor=2, data=2, pipeline=2,
+                                           micro_batch_size=2,
+                                           gradient_bucketing=False),
+    # p=1, and 3 gradient buckets over 4 layers (sizes 2, 1, 1).
+    "tp2dp4pp1b3": ParallelismConfig(tensor=2, data=4, pipeline=1,
+                                     micro_batch_size=2,
+                                     num_gradient_buckets=3),
+    # One gradient bucket spanning both model chunks of each stage.
+    "tp1dp2pp2v2b1": ParallelismConfig(tensor=1, data=2, pipeline=2,
+                                       micro_batch_size=2, virtual_stages=2,
+                                       num_gradient_buckets=1),
+    # No TP, DP, or PP tasks at all: one compute chain and its update.
+    "tp1dp1pp1": ParallelismConfig(tensor=1, data=1, pipeline=1,
+                                   micro_batch_size=4),
 }
 
 GOLDENS = {
@@ -90,6 +116,66 @@ GOLDENS = {
         0.0031419682269906916, 0.1951049842810131,
         "e91ccd80f6c761a6a9662cafd855c7c90bfafadfb3d75e609cecdd53603cfd81",
         114),
+    ("tp2dp2pp2gpipe", Granularity.KERNEL): (
+        0.001923487764913186, 0.15934950892867494,
+        "0024faf726bdbde82910f42b7037aa0e34d8c910d4362b45673b6bbc33528528",
+        722),
+    ("tp2dp2pp2gpipe", Granularity.OPERATOR): (
+        0.0019234877649131846, 0.15934950892867508,
+        "b9472d01b7ace074ac3afc703706d1d552816ef9c825fc3597fe9d072a15e8d2",
+        162),
+    ("tp2dp2pp2gpipe", Granularity.STAGE): (
+        0.0019234877649131868, 0.1593495089286749,
+        "7fa9183c77bc6091de66b0587fd835a02e026f075f090490d273dd52f1636bb7",
+        32),
+    ("tp2dp2pp2nobucket", Granularity.KERNEL): (
+        0.0019371602100201443, 0.15822482269860552,
+        "05cb517674c1dacfb32946244cbfedac041631960d51b00f7a4a70ebadcc7f9f",
+        720),
+    ("tp2dp2pp2nobucket", Granularity.OPERATOR): (
+        0.0019371602100201433, 0.1582248226986056,
+        "42f28b041c3590b12adcdfa9502ca1e97c812e59ca8f095ab881d78e029f6cca",
+        160),
+    ("tp2dp2pp2nobucket", Granularity.STAGE): (
+        0.0019371602100201456, 0.1582248226986054,
+        "5b818bbe26d8f783ca9b6db6fcd9e9aec018e9561de06d3076c2f8e33dc772dc",
+        28),
+    ("tp2dp4pp1b3", Granularity.KERNEL): (
+        0.0015809761275125088, 0.19387189055883175,
+        "6438e5b8c4f1583a843352ec5b1d80c7be768cb577be600900c0992ad9cf86ff",
+        358),
+    ("tp2dp4pp1b3", Granularity.OPERATOR): (
+        0.0015809761275125099, 0.19387189055883164,
+        "1e8aca9eec22a22c92635121cb99ec6b83b0ccbeb6e34d018076227526a90cd6",
+        78),
+    ("tp2dp4pp1b3", Granularity.STAGE): (
+        0.0015809761275125105, 0.19387189055883156,
+        "017800639511f6217856f1429298e8097eec3adc81d46a3235844e52165165c5",
+        10),
+    ("tp1dp2pp2v2b1", Granularity.KERNEL): (
+        0.0027984912470407825, 0.21905148432630708,
+        "60aacc4b808beddcf98d6d5bb5254aad1c4ff9aed729f3c6523f9601b5b872ce",
+        668),
+    ("tp1dp2pp2v2b1", Granularity.OPERATOR): (
+        0.002798491247040782, 0.2190514843263071,
+        "83f5bfe9d85fcacb99ec82eaeb23d17907ce857b405574046d7e375d22132c9b",
+        108),
+    ("tp1dp2pp2v2b1", Granularity.STAGE): (
+        0.0027984912470407825, 0.21905148432630708,
+        "08bcd77e0e19ea1bbd5539f1ded421c9578fec237b5d7eb3d45c4a6a65a92458",
+        60),
+    ("tp1dp1pp1", Granularity.KERNEL): (
+        0.0053223379193783815, 0.46071006450492946,
+        "33a02c43a2f73bc427776e5c1019225341f76d4bdebb79fe4864ad7144a0b665",
+        641),
+    ("tp1dp1pp1", Granularity.OPERATOR): (
+        0.005322337919378364, 0.46071006450493096,
+        "67ead48db4782c7c5475541998c57d7797c9a78d747c74826139c5c01465d4ca",
+        81),
+    ("tp1dp1pp1", Granularity.STAGE): (
+        0.005322337919378368, 0.4607100645049306,
+        "7eeb51fe2ace76f72db79e4f274c5ee1289836b70e22ee3458cc97fb2cbe446a",
+        12),
 }
 
 
@@ -102,6 +188,74 @@ def graph_digest(asm) -> str:
             for task_id in range(len(asm))]
     return hashlib.sha256(
         json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
+# Inference phase graphs of the ``plan`` fixture under the ``workload``
+# fixture, pinned from the per-task emitter: phase -> granularity ->
+# (reference-engine makespan, graph sha256, task count).
+INFERENCE_GOLDENS = {
+    (PREFILL, Granularity.KERNEL): (
+        0.0005833974578414418,
+        "eb218e109feeb8344456957d4f2c04f2c02559db7ee7e8358d21002231290961",
+        288),
+    (PREFILL, Granularity.OPERATOR): (
+        0.0005833974578414417,
+        "bb98e7355b270aabd57d70192e7b3468da3b0fbf8e02b760113294f9a5182dc8",
+        80),
+    (PREFILL, Granularity.STAGE): (
+        0.0005833974578414417,
+        "167cfb248df9d6f34c7e2189b1c42489e3e7fc9b1c437228ec8fcdd45d6822ed",
+        12),
+    (DECODE, Granularity.KERNEL): (
+        0.00036996321129800016,
+        "afe418faa8e3b2e093cf760861f689d09857e6e2429475e1d0049c79d304f9b1",
+        288),
+    (DECODE, Granularity.OPERATOR): (
+        0.0003699632112980002,
+        "cb8a498bc809d35bb642b590ed5d6c918d7171bb4069d28157a2773a78e6d817",
+        80),
+    (DECODE, Granularity.STAGE): (
+        0.0003699632112980004,
+        "cda3b362b4a46d9256447be192ab68e1980ad764110d099c70199e5b6b8cdc2d",
+        12),
+}
+
+# Preset-scale plans: sha256 over the compiled replay arrays, so the
+# full-size stamp (219,260 tasks for MT-NLG) is pinned, not only the
+# tiny models. Keys: name -> (model, training, plan, granularity).
+PRESET_PLANS = {
+    "mt-nlg-8x8x35-operator": (
+        MT_NLG_530B, MT_NLG_TRAINING,
+        ParallelismConfig(tensor=8, data=8, pipeline=35,
+                          micro_batch_size=1),
+        Granularity.OPERATOR),
+    "gpt3-8x16x8v2-operator": (
+        GPT3_175B, GPT3_TRAINING,
+        ParallelismConfig(tensor=8, data=16, pipeline=8,
+                          micro_batch_size=1, virtual_stages=2),
+        Granularity.OPERATOR),
+}
+
+PRESET_GOLDENS = {
+    "mt-nlg-8x8x35-operator": (
+        "b6044b87ba84bdb80faba426288009ee2b9e40e6ae62732594b8e4fd047f89e1",
+        219260),
+    "gpt3-8x16x8v2-operator": (
+        "bde4a77b5295777ff8c97c6ab8be5d3e3e2f9ad145faad5efcc5b7e8ba2b6ea6",
+        77128),
+}
+
+
+def structure_arrays_digest(structure) -> str:
+    """sha256 over a compiled structure's replay arrays, each widened to
+    little-endian int64 so the digest is platform-independent."""
+    digest = hashlib.sha256()
+    for name in ("task_id", "device", "kind_index", "slot_index",
+                 "child_ptr", "child_idx"):
+        digest.update(name.encode())
+        digest.update(np.ascontiguousarray(
+            getattr(structure, name), dtype="<i8").tobytes())
+    return digest.hexdigest()
 
 
 @pytest.fixture(autouse=True)
@@ -148,6 +302,33 @@ class TestTrainingGoldens:
         estimate = vtrain.predict(tiny_model, plan, training)
         assert estimate.iteration_time == expect_time
         assert estimate.gpu_compute_utilization == expect_util
+
+    @pytest.mark.parametrize("phase,granularity",
+                             list(INFERENCE_GOLDENS), ids=lambda v: str(v))
+    def test_inference_graph_matches_golden(self, tiny_model, plan,
+                                            workload, phase, granularity):
+        expect_time, expect_digest, expect_tasks = (
+            INFERENCE_GOLDENS[(phase, granularity)])
+        vtrain = make_vtrain(granularity)
+        builder = GraphBuilder(tiny_model, vtrain.system, plan, None,
+                               vtrain.lookup, vtrain.nccl, granularity,
+                               workload=workload, phase=phase)
+        asm = builder.assemble()
+        assert len(asm) == expect_tasks
+        assert graph_digest(asm) == expect_digest
+        result = simulate_reference(asm, plan.pipeline)
+        assert result.iteration_time == expect_time
+
+    @pytest.mark.parametrize("name", list(PRESET_PLANS))
+    def test_preset_structure_matches_golden(self, name):
+        model, recipe, plan, granularity = PRESET_PLANS[name]
+        system = multi_node(-(-plan.total_gpus // 8))
+        vtrain = VTrain(system, granularity=granularity)
+        structure = GraphBuilder(model, system, plan, recipe, vtrain.lookup,
+                                 vtrain.nccl, granularity).compile()
+        expect_digest, expect_tasks = PRESET_GOLDENS[name]
+        assert structure.num_tasks == expect_tasks
+        assert structure_arrays_digest(structure) == expect_digest
 
     def test_training_workload_dispatch_is_bit_identical(
             self, tiny_model, training, plan):
