@@ -10,9 +10,10 @@ regressions:
 * ``test_warm_predict_speedup_and_regression_gate`` measures a warm
   OPERATOR-granularity ``predict`` on the MT-NLG (8, 8, 35) plan — the
   structure-cache fast path (duration refill + compiled replay) — against
-  the pre-split cost of the same prediction (re-emitting the task
-  columns with ``GraphBuilder.assemble()`` + the reference Algorithm-1
-  loop over them). It asserts the >= 3x speedup the
+  the reference Algorithm-1 loop replaying the same graph
+  (``simulate_reference`` over ``GraphBuilder.assemble()``; the
+  assembly itself is not timed, so a faster graph build cannot move
+  the reference). It asserts the >= 3x speedup the
   structure/timing split promises, appends the measurement to the perf
   trajectory in ``benchmarks/results/BENCH_sim_speed.json``, and fails
   if the warm-predict latency regressed more than 25 % against the
@@ -30,6 +31,15 @@ regressions:
   and fails if the batch-throughput ratio regressed more than 25 %
   against its committed baseline. Like the warm gate, the gated metric
   is a same-process ratio, insensitive to absolute machine speed.
+
+* ``test_cold_build_regression_gate`` times a cold
+  ``GraphBuilder.compile()`` of the same plan — stamp, replay order and
+  columnar compile, no structure cache — at OPERATOR and at STAGE
+  granularity, each against the reference Algorithm-1 loop replaying
+  that granularity's graph (``simulate_reference``, which shares no
+  code with the build). It appends to the ``cold_build`` trajectory and
+  fails if either granularity's build/reference ratio regressed more
+  than 25 % against its committed baseline.
 
 Set ``REPRO_BENCH_QUICK=1`` for the CI smoke/perf lanes (fewer timing
 rounds; the model and plan stay MT-NLG-sized so the gates measure the
@@ -67,8 +77,8 @@ REGRESSION_HEADROOM = 1.25
 #: wins. (The 1.25x gate above still catches catastrophic regressions
 #: when obs is force-enabled for a profiling run.)
 OBS_DISABLED_HEADROOM = 1.03
-#: Minimum speedup of the structure-cache warm path over a full
-#: rebuild + reference replay (the acceptance bar for the split).
+#: Minimum speedup of the structure-cache warm path over the reference
+#: replay of the same graph (the acceptance bar for the split).
 MIN_SPEEDUP = 3.0
 #: Minimum per-column speedup of the batched sweep over scalar replays
 #: (the acceptance bar for the vectorized batch-retime engine).
@@ -167,7 +177,7 @@ def _baseline(section_name):
 
 
 def test_warm_predict_speedup_and_regression_gate():
-    """Structure-cache warm predict vs pre-split rebuild-every-time."""
+    """Structure-cache warm predict vs the reference replay."""
     rounds = 3 if QUICK else 5
     vtrain = _simulator(Granularity.OPERATOR)  # also caches the structure
 
@@ -175,17 +185,13 @@ def test_warm_predict_speedup_and_regression_gate():
         MT_NLG_530B, PLAN, MT_NLG_TRAINING)) for _ in range(rounds))
     assert vtrain.last_predict_timing.structure_cache_hit
 
-    # What the same warm prediction cost before the split: re-emit the
-    # task columns from scratch (builder + assemble(), no compile) and
-    # replay them with the reference engine.
-    tick = time.perf_counter()
+    # The same graph's uncompiled columns, replayed by the reference
+    # engine (Algorithm 1's per-task queue loop).
     tasks = GraphBuilder(MT_NLG_530B, vtrain.system, PLAN, MT_NLG_TRAINING,
                          vtrain.lookup, vtrain.nccl,
                          vtrain.granularity).assemble()
-    build_s = time.perf_counter() - tick
-    replay_s = min(_timed(lambda: simulate_reference(tasks, PLAN.pipeline))
-                   for _ in range(rounds))
-    reference_s = build_s + replay_s
+    reference_s = min(_timed(lambda: simulate_reference(
+        tasks, PLAN.pipeline)) for _ in range(rounds))
 
     speedup = reference_s / warm_s
     ratio = warm_s / reference_s
@@ -200,16 +206,16 @@ def test_warm_predict_speedup_and_regression_gate():
 
     baseline = _baseline("warm_predict")
     emit_table("sim_speed_warm",
-               "Warm predict: structure cache vs full rebuild",
+               "Warm predict: structure cache vs reference replay",
                [entry | {"baseline_ratio":
                          baseline["warm_over_reference"] if baseline
                          else entry["warm_over_reference"]}],
                notes="warm = memory check + duration refill + compiled "
-                     "replay; reference = assemble() + reference "
-                     "Algorithm-1 loop (the pre-split warm-predict cost)")
+                     "replay; reference = the reference Algorithm-1 "
+                     "loop over the same graph")
 
     assert speedup >= MIN_SPEEDUP, (
-        f"warm predict only {speedup:.2f}x faster than a rebuild "
+        f"warm predict only {speedup:.2f}x faster than the reference "
         f"(need >= {MIN_SPEEDUP}x)")
     if baseline is not None:
         limit = baseline["warm_over_reference"] * REGRESSION_HEADROOM
@@ -307,6 +313,56 @@ def test_batch_retime_throughput_and_regression_gate():
             {"benchmark": "sim_speed_batch_retime",
              "gated_metric": "batch_speedup",
              "min_speedup": MIN_BATCH_SPEEDUP,
+             "regression_headroom": REGRESSION_HEADROOM},
+            entry)
+
+
+def test_cold_build_regression_gate():
+    """Cold structure build (no cache) vs the reference replay."""
+    rounds = 3 if QUICK else 5
+    entry = {"quick": QUICK}
+    for granularity, prefix in ((Granularity.OPERATOR, "operator"),
+                                (Granularity.STAGE, "stage")):
+        vtrain = _simulator(granularity)  # warm profiles, not the build
+        builder = GraphBuilder(MT_NLG_530B, vtrain.system, PLAN,
+                               MT_NLG_TRAINING, vtrain.lookup, vtrain.nccl,
+                               granularity)
+        structure = builder.compile()
+        build_s = min(_timed(builder.compile) for _ in range(rounds))
+        tasks = builder.assemble()
+        reference_s = min(_timed(lambda: simulate_reference(
+            tasks, PLAN.pipeline)) for _ in range(rounds))
+        entry |= {
+            f"{prefix}_tasks": structure.num_tasks,
+            f"{prefix}_build_s": round(build_s, 6),
+            f"{prefix}_reference_s": round(reference_s, 6),
+            f"{prefix}_build_over_reference": round(build_s / reference_s,
+                                                    6),
+        }
+    entry["tasks"] = entry["operator_tasks"]
+
+    baseline = _baseline("cold_build")
+    emit_table("sim_speed_cold_build",
+               "Cold structure build: stamp + compile, no cache",
+               [entry],
+               notes="build = GraphBuilder.compile() on the MT-NLG "
+                     "(8, 8, 35) plan; reference = simulate_reference "
+                     "over the same granularity's graph")
+
+    if baseline is not None:
+        for prefix in ("operator", "stage"):
+            metric = f"{prefix}_build_over_reference"
+            limit = baseline[metric] * REGRESSION_HEADROOM
+            assert entry[metric] <= limit, (
+                f"cold {prefix} build regressed: build/reference "
+                f"{entry[metric]:.4f} exceeds committed baseline "
+                f"{baseline[metric]} by more than {REGRESSION_HEADROOM}x")
+
+    # Record only passing runs.
+    _record("cold_build",
+            {"benchmark": "sim_speed_cold_build",
+             "gated_metric": "operator_build_over_reference, "
+                             "stage_build_over_reference",
              "regression_headroom": REGRESSION_HEADROOM},
             entry)
 

@@ -23,6 +23,22 @@ All-Reduces appear as inline comm tasks and DP All-Reduces as comm-stream
 tasks. This is the paper's necessary-operator observation applied to the
 graph itself; per-GPU behaviour is preserved exactly.
 
+The same reduction extends to layers and micro-batches. Every layer of
+a chunk emits the same operator pattern, and every scheduled chunk with
+the same (stage, model chunk, phase, last-backward micro-batch) key
+emits the same tasks. The builder therefore *stamps* the graph
+(:meth:`GraphBuilder.emit`): it records each distinct chunk template
+once — timing slots and label suffixes, plus the offsets of the tasks
+gradient buckets anchor on — and tiles it to all of its chunks with
+NumPy index arithmetic. Only the edges between chunks (P2P
+Send-Receives, wrap-around hops, bucket All-Reduces, weight updates)
+are computed per chunk or per stage. No Python object is allocated per
+task: a task is a row of NumPy columns (device, slot, CSR children), and
+its kind, stream and payload follow from its timing slot, its label
+from its chunk prefix and template suffix (built only when read). The
+emission order, and so every task id, edge and replay result, is that
+of a per-task emitter walking the same loops.
+
 **Granularities.** ``KERNEL`` emits one task per CUDA kernel (the paper's
 task-granularity graph, Figure 4 step 4); ``OPERATOR`` emits one task per
 layer-node with duration equal to the sum of its kernels (exact, because
@@ -38,6 +54,8 @@ import enum
 import os
 import threading
 from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -51,12 +69,13 @@ from repro.errors import ConfigError
 from repro.graph.operators import (CompOperator, OpKind,
                                    data_allreduce, pipeline_send_recv,
                                    tensor_allreduce)
-from repro.graph.pipeline import (FORWARD, ScheduledChunk,
-                                  last_backward_micro_batch, schedule_order)
+from repro.graph.pipeline import (last_backward_micro_batch,
+                                  schedule_columns)
 from repro.graph.structure import (COMM_STREAM, COMPUTE_STREAM,
                                    FlatAssembler, GraphStructure,
                                    KIND_COMPUTE, KIND_DP_COMM, KIND_PP_COMM,
-                                   KIND_TP_COMM, KIND_WEIGHT_UPDATE)
+                                   KIND_TP_COMM, KIND_WEIGHT_UPDATE,
+                                   TaskColumns, compile_columns)
 from repro.hardware.cluster import ClusterTopology
 from repro.profiling.lookup import OperatorToTaskTable
 from repro.profiling.nccl import NcclModel
@@ -94,6 +113,9 @@ class Granularity(enum.Enum):
 
 _STRUCTURE_CACHE: "OrderedDict[str, GraphStructure]" = OrderedDict()
 _STRUCTURE_CACHE_LOCK = threading.RLock()
+# Summed num_tasks of the cached structures, kept in step with every
+# insert and removal so no call re-sums the entries.
+_cached_tasks = 0
 
 # Hit/miss/eviction accounting lives on the process-wide obs registry
 # (single source of truth for `repro stats`); structure_cache_stats()
@@ -105,16 +127,26 @@ _CACHE_EVICTIONS = obs.metrics.counter("graph.structure_cache.evictions")
 #: Default cap on the summed task count of cached structures (~200 MB
 #: worst case); override with REPRO_STRUCTURE_CACHE_TASKS.
 DEFAULT_STRUCTURE_CACHE_TASKS = 1_000_000
+STRUCTURE_CACHE_ENV = "REPRO_STRUCTURE_CACHE_TASKS"
 
 
 def _structure_cache_budget() -> int:
-    raw = os.environ.get("REPRO_STRUCTURE_CACHE_TASKS")
+    """The task budget: the environment override, else the default.
+
+    Raises:
+        ConfigError: The override is not a non-negative integer.
+    """
+    raw = os.environ.get(STRUCTURE_CACHE_ENV)
     if raw is None:
         return DEFAULT_STRUCTURE_CACHE_TASKS
     try:
-        return max(0, int(raw))
+        budget = int(raw)
     except ValueError:
-        return DEFAULT_STRUCTURE_CACHE_TASKS
+        budget = -1
+    if budget < 0:
+        raise ConfigError(f"{STRUCTURE_CACHE_ENV} must be a non-negative "
+                          f"integer task count, got {raw!r}")
+    return budget
 
 
 def structure_cache_get(key: str) -> GraphStructure | None:
@@ -131,21 +163,27 @@ def structure_cache_get(key: str) -> GraphStructure | None:
 
 def structure_cache_put(key: str, structure: GraphStructure) -> None:
     """Insert a structure, LRU-evicting down to the task budget."""
+    global _cached_tasks
+    budget = _structure_cache_budget()
     with _STRUCTURE_CACHE_LOCK:
+        replaced = _STRUCTURE_CACHE.pop(key, None)
+        if replaced is not None:
+            _cached_tasks -= replaced.num_tasks
         _STRUCTURE_CACHE[key] = structure
-        _STRUCTURE_CACHE.move_to_end(key)
-        budget = _structure_cache_budget()
-        total = sum(entry.num_tasks for entry in _STRUCTURE_CACHE.values())
-        while total > budget and len(_STRUCTURE_CACHE) > 1:
+        _cached_tasks += structure.num_tasks
+        while _cached_tasks > budget and len(_STRUCTURE_CACHE) > 1:
             _, evicted = _STRUCTURE_CACHE.popitem(last=False)
-            total -= evicted.num_tasks
+            _cached_tasks -= evicted.num_tasks
             _CACHE_EVICTIONS.increment()
 
 
 def structure_cache_evict(key: str) -> None:
     """Drop one entry (defensive fallback when a refill mismatches)."""
+    global _cached_tasks
     with _STRUCTURE_CACHE_LOCK:
-        _STRUCTURE_CACHE.pop(key, None)
+        evicted = _STRUCTURE_CACHE.pop(key, None)
+        if evicted is not None:
+            _cached_tasks -= evicted.num_tasks
 
 
 def structure_cache_stats() -> dict[str, int]:
@@ -156,14 +194,15 @@ def structure_cache_stats() -> dict[str, int]:
                 "misses": _CACHE_MISSES.value,
                 "evictions": _CACHE_EVICTIONS.value,
                 "entries": len(_STRUCTURE_CACHE),
-                "cached_tasks": sum(entry.num_tasks
-                                    for entry in _STRUCTURE_CACHE.values())}
+                "cached_tasks": _cached_tasks}
 
 
 def clear_structure_cache() -> None:
     """Empty the cache and reset its counters (tests, benchmarks)."""
+    global _cached_tasks
     with _STRUCTURE_CACHE_LOCK:
         _STRUCTURE_CACHE.clear()
+        _cached_tasks = 0
         for counter in (_CACHE_HITS, _CACHE_MISSES, _CACHE_EVICTIONS):
             counter.reset()
 
@@ -274,6 +313,164 @@ def structure_affinity(model: ModelConfig, plan: ParallelismConfig,
         return structure_fingerprint(model, plan, training, granularity)
     except (ArithmeticError, ValueError):
         return None
+
+
+STREAMS = (COMPUTE_STREAM, COMM_STREAM)
+
+
+class _SlotTable:
+    """Timing slots of one stamp, numbered in registration order, with
+    each slot's kind, stream and representative payload (every task
+    drawing its duration from a slot shares all three)."""
+
+    def __init__(self) -> None:
+        self.codes: dict[str, int] = {}
+        self.kinds: dict[str, int] = {}
+        self.kind: list[int] = []
+        self.stream: list[int] = []
+        self.payloads: dict[str, Any] = {}
+
+    def __call__(self, key: str, kind: str, stream: str,
+                 payload: Any = None) -> int:
+        code = self.codes.get(key)
+        if code is None:
+            code = self.codes[key] = len(self.codes)
+            self.kind.append(self.kinds.setdefault(kind, len(self.kinds)))
+            self.stream.append(STREAMS.index(stream))
+            self.payloads[key] = payload
+        return code
+
+
+class _Template:
+    """One chunk template: slot codes and label suffixes in emission
+    order, plus gradient-bucket anchor offsets (last backward only)."""
+
+    def __init__(self) -> None:
+        self.slots: list[int] = []
+        self.suffixes: list[str] = []
+        self.anchors: dict[int, int] = {}
+
+    def add(self, slot: int, suffix: str) -> None:
+        self.slots.append(slot)
+        self.suffixes.append(suffix)
+
+
+class _Emission:
+    """Accumulates stamped task and edge arrays in emission order."""
+
+    def __init__(self) -> None:
+        self.num_tasks = 0
+        self.devices: list[np.ndarray] = []
+        self.slots: list[np.ndarray] = []
+        self.sources: list[np.ndarray] = []
+        self.targets: list[np.ndarray] = []
+
+    def tasks(self, device: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        """Append tasks (one per element); returns their ids."""
+        first = self.num_tasks
+        self.num_tasks += device.size
+        self.devices.append(device)
+        self.slots.append(slot)
+        return np.arange(first, self.num_tasks, dtype=np.intp)
+
+    def edges(self, parent: np.ndarray, child: np.ndarray) -> None:
+        self.sources.append(parent)
+        self.targets.append(child)
+
+    def send_recv(self, device, slot, parent: np.ndarray,
+                  child: np.ndarray) -> None:
+        """One P2P task per element of ``parent``/``child``, in C order,
+        each between its parent and child (``device`` and ``slot``
+        broadcast against them)."""
+        shape = parent.shape
+        tasks = self.tasks(np.broadcast_to(device, shape).ravel(),
+                           np.broadcast_to(slot, shape).ravel())
+        self.edges(parent.ravel(), tasks)
+        self.edges(tasks, child.ravel())
+
+    def columns(self, table: _SlotTable,
+                labels: Callable[[], Sequence[str]]) -> TaskColumns:
+        """The finished columns; children sorted by task id."""
+        num_tasks = self.num_tasks
+        key = (np.concatenate(self.sources) * num_tasks
+               + np.concatenate(self.targets))
+        key.sort()
+        parent = key // num_tasks
+        child_ptr = np.zeros(num_tasks + 1, dtype=np.intp)
+        np.cumsum(np.bincount(parent, minlength=num_tasks),
+                  out=child_ptr[1:])
+        slot = np.concatenate(self.slots)
+        return TaskColumns(
+            device=np.concatenate(self.devices),
+            kind=np.array(table.kind, dtype=np.intp)[slot],
+            kinds=tuple(table.kinds),
+            stream=np.array(table.stream, dtype=np.intp)[slot],
+            streams=STREAMS, slot=slot, slot_keys=tuple(table.codes),
+            child_ptr=child_ptr, child_idx=key - parent * num_tasks,
+            duration=None, labels=labels, slot_payloads=table.payloads)
+
+
+@dataclass
+class _Chunks:
+    """Where :meth:`GraphBuilder._stamp_chunks` placed the chunks.
+
+    ``units`` holds the per-chunk (stage, chunk, micro-batch, backward,
+    template) columns in emission order; ``f_entry``/``f_exit``/
+    ``b_entry``/``b_exit`` map (stage, chunk, micro-batch) to a forward
+    or backward chunk's first and last task; ``stage_tail`` is each
+    stage's last compute-stream task.
+    """
+
+    units: tuple[np.ndarray, ...]
+    templates: list[_Template]
+    template_of: np.ndarray
+    last_b: int
+    stage_tail: np.ndarray
+    f_entry: np.ndarray
+    f_exit: np.ndarray
+    b_entry: np.ndarray
+    b_exit: np.ndarray
+
+
+class _StampLabels:
+    """Emission-order labels of a stamped graph, built on demand: only
+    timeline recording, traces, the testbed and the reference view read
+    them. Holds per-chunk arrays and template suffixes, not the
+    builder, so a cached structure keeps no builder alive."""
+
+    def __init__(self, *, units: tuple[np.ndarray, ...],
+                 suffixes: list[list[str]], p: int, v: int, nmb: int,
+                 training: bool, sync_labels: list[str]) -> None:
+        self.units = units
+        self.suffixes = suffixes
+        self.p, self.v, self.nmb = p, v, nmb
+        self.training = training
+        self.sync_labels = sync_labels
+
+    def __call__(self) -> list[str]:
+        p, v, nmb = self.p, self.v, self.nmb
+        labels: list[str] = []
+        extend = labels.extend
+        append = labels.append
+        for stage, chunk, mb, backward, template in zip(
+                *(column.tolist() for column in self.units)):
+            phase = "B" if backward else "F"
+            prefix = (f"s{stage}/{phase}{mb}" if v == 1
+                      else f"s{stage}/c{chunk}/{phase}{mb}")
+            extend([prefix + suffix for suffix in self.suffixes[template]])
+        for boundary in range(p - 1):
+            for mb in range(nmb):
+                for chunk in range(v):
+                    mid = "" if v == 1 else f"/c{chunk}"
+                    append(f"s{boundary}->s{boundary + 1}{mid}/F{mb}")
+                    if self.training:
+                        append(f"s{boundary + 1}->s{boundary}{mid}/B{mb}")
+        for chunk in range(v - 1):
+            for mb in range(nmb):
+                append(f"s{p - 1}/c{chunk}->s0/c{chunk + 1}/F{mb}")
+                append(f"s0/c{chunk + 1}->s{p - 1}/c{chunk}/B{mb}")
+        extend(self.sync_labels)
+        return labels
 
 
 class GraphBuilder:
@@ -468,12 +665,11 @@ class GraphBuilder:
         """Build the timing table: slot key -> duration in seconds.
 
         Every task the builder emits draws its duration from exactly one
-        slot here, and records that slot key in the assembler; a
-        compiled :class:`GraphStructure` can therefore be *re-timed* —
-        its duration vector refilled from a fresh builder's table —
-        without re-running graph assembly. Values are computed with the
-        same expressions emission previously used inline, so graphs (and
-        predictions) are bit-identical to the pre-split builder.
+        slot here, and carries that slot in its columns; a compiled
+        :class:`GraphStructure` can therefore be *re-timed* — its
+        duration vector refilled from a fresh builder's table — without
+        re-running graph construction. A compiled structure's baseline
+        durations are this table broadcast through the slots too.
         """
         plan = self.plan
         timings: dict[str, float] = {}
@@ -638,238 +834,309 @@ class GraphBuilder:
     # Graph construction
     # ------------------------------------------------------------------
     def assemble(self) -> FlatAssembler:
-        """Emit the iteration's tasks into a fresh, uncompiled
-        :class:`FlatAssembler` (the reference engine's input)."""
-        asm = FlatAssembler()
-        self._emit(asm)
-        return asm
+        """The iteration's tasks as an uncompiled :class:`FlatAssembler`
+        (the reference engine's input): a list view of the same stamped
+        columns :meth:`compile` compiles."""
+        return FlatAssembler.from_columns(self.emit(), self.timings)
 
     def compile(self) -> GraphStructure:
-        """Assemble the iteration and compile its replay structure.
+        """Stamp the iteration and compile its replay structure.
 
         The compiled structure carries timing-slot keys, so it can later
-        be re-timed by any builder with the same :attr:`structure_key`.
+        be re-timed by any builder with the same :attr:`structure_key`;
+        its baseline durations are this builder's timings broadcast
+        through those slots.
         """
-        return self.assemble().compile(num_devices=self.plan.pipeline,
-                                       metadata=self.graph_metadata())
+        return compile_columns(self.emit(), self.plan.pipeline,
+                               self.graph_metadata(), self.timings)
 
-    def _emit(self, asm: FlatAssembler) -> None:
+    def emit(self) -> TaskColumns:
+        """Stamp the iteration's tasks as emission-order columns.
+
+        Each distinct chunk template — keyed by (stage, model chunk,
+        phase, last-backward micro-batch) — is emitted once; every
+        scheduled chunk's tasks are that template's columns placed at
+        the chunk's base task id, the running sum of the chunk lengths
+        over the schedule. Every compute-stream task of a stage follows
+        the previous one on the stream, so the chunk-internal edges and
+        the chunk-to-chunk stream edges are one chain per stage. The
+        edges between chunks — P2P Send-Receives, wrap-around hops,
+        bucket All-Reduces and weight updates — are added per chunk or
+        per stage. Children are listed in ascending task id: the exact
+        edge order of the per-task emitter this stamp replaced, so
+        digests, replay order and predictions are unchanged.
+        """
+        table = _SlotTable()
+        out = _Emission()
+        chunks = self._stamp_chunks(table, out)
+        self._stamp_pipeline_comm(table, out, chunks)
+        sync_labels: list[str] = []
+        if self.phase is None:
+            self._stamp_gradient_sync(table, out, chunks, sync_labels)
+        labels = _StampLabels(
+            units=chunks.units,
+            suffixes=[template.suffixes for template in chunks.templates],
+            p=self.plan.pipeline, v=self.v, nmb=self.nmb,
+            training=self.phase is None, sync_labels=sync_labels)
+        return out.columns(table, labels)
+
+    def _stamp_chunks(self, table: _SlotTable, out: _Emission) -> _Chunks:
+        """Place every scheduled chunk: stage-major, each stage in its
+        issue order, all compute-stream tasks of a stage chained."""
+        plan = self.plan
+        p, v, nmb = plan.pipeline, self.v, self.nmb
+        if self.phase is None:
+            last_b = last_backward_micro_batch(plan.schedule, nmb)
+            orders = [schedule_columns(plan.schedule, stage, p, nmb,
+                                       virtual_stages=v)
+                      for stage in range(p)]
+        else:
+            # Inference: each stage issues its micro-batches' forwards
+            # in ascending order (the forward sub-order of every
+            # schedule).
+            last_b = -1
+            forwards = np.arange(nmb, dtype=np.intp)
+            orders = [(np.zeros(nmb, dtype=bool), forwards,
+                       np.zeros_like(forwards))] * p
+        backward, micro_batch, chunk = (
+            np.concatenate(column) for column in zip(*orders))
+        per_stage = [len(order[0]) for order in orders]
+        stage = np.repeat(np.arange(p, dtype=np.intp), per_stage)
+
+        # Template key (stage, chunk, phase); phase 0 is a forward, 1 a
+        # backward, 2 the last-synchronising micro-batch's backward.
+        phase = backward.astype(np.intp) + (backward & (micro_batch == last_b))
+        unit_key = (stage * v + chunk) * 3 + phase
+        keys = np.flatnonzero(np.bincount(unit_key, minlength=p * v * 3))
+        template_of = np.full(p * v * 3, -1, dtype=np.intp)
+        template_of[keys] = np.arange(keys.size, dtype=np.intp)
+        templates = []
+        for key in keys.tolist():
+            stage_chunk, kind = divmod(key, 3)
+            templates.append(self._template(table, *divmod(stage_chunk, v),
+                                            backward=kind > 0,
+                                            last=kind == 2))
+
+        # Tile every template to its chunks in one broadcast.
+        unit_template = template_of[unit_key]
+        template_len = np.array([len(t.slots) for t in templates],
+                                dtype=np.intp)
+        template_start = np.zeros(len(templates), dtype=np.intp)
+        np.cumsum(template_len[:-1], out=template_start[1:])
+        unit_len = template_len[unit_template]
+        entry = np.zeros(unit_len.size, dtype=np.intp)
+        np.cumsum(unit_len[:-1], out=entry[1:])
+        exit_ = entry + unit_len - 1
+        owner = np.repeat(np.arange(unit_len.size, dtype=np.intp), unit_len)
+        template_slots = np.fromiter(
+            (slot for template in templates for slot in template.slots),
+            dtype=np.intp, count=int(template_len.sum()))
+        offset = np.arange(owner.size, dtype=np.intp) - entry[owner]
+        device = stage[owner]
+        out.tasks(device, template_slots[template_start[unit_template][owner]
+                                         + offset])
+        # One compute-stream chain per stage (stages are contiguous).
+        chained = np.flatnonzero(device[1:] == device[:-1])
+        out.edges(chained, chained + 1)
+
+        # Entry/exit task of every chunk, by (stage, chunk, micro-batch).
+        grid = (stage, chunk, micro_batch)
+        ends = {}
+        for name, values, mask in (("f_entry", entry, ~backward),
+                                   ("f_exit", exit_, ~backward),
+                                   ("b_entry", entry, backward),
+                                   ("b_exit", exit_, backward)):
+            ends[name] = np.zeros((p, v, nmb), dtype=np.intp)
+            ends[name][tuple(axis[mask] for axis in grid)] = values[mask]
+        stage_tail = exit_[np.cumsum(per_stage) - 1]
+        return _Chunks(units=(*grid, backward, unit_template),
+                       templates=templates, template_of=template_of,
+                       last_b=last_b, stage_tail=stage_tail, **ends)
+
+    def _stamp_pipeline_comm(self, table: _SlotTable, out: _Emission,
+                             chunks: _Chunks) -> None:
+        """Send-Receive tasks at every stage boundary (Figure 6).
+
+        Emission order is (boundary, micro-batch, chunk), the forward
+        send before the backward receive. Interleaved plans carry every
+        chunk across each boundary, plus the wrap-around hops: forward
+        output of chunk ``c`` on the last stage feeds chunk ``c+1`` on
+        stage 0, and chunk ``c+1``'s gradient on stage 0 feeds chunk
+        ``c``'s backward on the last stage, in (chunk, micro-batch)
+        order. Inference phases send the forward half only.
+        """
+        p, v, nmb = self.plan.pipeline, self.v, self.nmb
+        f_entry, f_exit = chunks.f_entry, chunks.f_exit
+        b_entry, b_exit = chunks.b_entry, chunks.b_exit
+        boundary = np.arange(p - 1)[:, None, None]
+        mb = np.arange(nmb)[None, :, None]
+        chunk = np.arange(v)[None, None, :]
+        slot = np.array([table(f"pp:{hop}", KIND_PP_COMM, COMM_STREAM)
+                         for hop in range(p - 1)], dtype=np.intp)
         if self.phase is not None:
-            self._emit_inference(asm)
+            out.send_recv(boundary, slot[boundary],
+                          f_exit[boundary, chunk, mb],
+                          f_entry[boundary + 1, chunk, mb])
             return
-        p = self.plan.pipeline
-        orders = [schedule_order(self.plan.schedule, st, p, self.nmb,
-                                 virtual_stages=self.v)
-                  for st in range(p)]
-        last_b = last_backward_micro_batch(self.plan.schedule, self.nmb)
+        # Trailing axis: forward send, backward receive.
+        out.send_recv(
+            np.stack(np.broadcast_arrays(boundary, boundary + 1), axis=-1),
+            slot[boundary][..., None],
+            np.stack([f_exit[boundary, chunk, mb],
+                      b_exit[boundary + 1, chunk, mb]], axis=-1),
+            np.stack([f_entry[boundary + 1, chunk, mb],
+                      b_entry[boundary, chunk, mb]], axis=-1))
+        if v > 1:
+            chunk = np.arange(v - 1)[:, None]
+            mb = np.arange(nmb)[None, :]
+            out.send_recv(
+                np.array([p - 1, 0]),
+                table("pp:wrap", KIND_PP_COMM, COMM_STREAM),
+                np.stack([f_exit[p - 1, chunk, mb],
+                          b_exit[0, chunk + 1, mb]], axis=-1),
+                np.stack([f_entry[0, chunk + 1, mb],
+                          b_entry[p - 1, chunk, mb]], axis=-1))
 
-        # Task-id maps keyed by (stage, chunk, micro_batch); chunk is
-        # always 0 outside the interleaved schedule.
-        f_entry: dict[tuple[int, int, int], int] = {}
-        f_exit: dict[tuple[int, int, int], int] = {}
-        b_entry: dict[tuple[int, int, int], int] = {}
-        b_exit: dict[tuple[int, int, int], int] = {}
-        # Per-stage gradient-readiness anchors: bucket index -> task id.
-        bucket_anchor: dict[tuple[int, int], int] = {}
+    def _stamp_gradient_sync(self, table: _SlotTable, out: _Emission,
+                             chunks: _Chunks, labels: list[str]) -> None:
+        """DP gradient All-Reduces (Figure 5) and weight updates, per
+        stage, appending each task's label to ``labels``.
 
-        for stage in range(p):
-            # Weight-gradient tails of the *last* micro-batch's backward,
-            # keyed by stage-local layer, accumulated across this stage's
-            # chunks (all of one stage's layers live in one dict because
-            # gradient buckets partition the stage, not the chunk).
-            layer_tails: dict[int, int] = {}
-            for unit in orders[stage]:
-                key = (stage, unit.chunk, unit.micro_batch)
-                if unit.phase == FORWARD:
-                    entry, exit_ = self._emit_forward_chunk(asm, stage, unit)
-                    f_entry[key] = entry
-                    f_exit[key] = exit_
-                else:
-                    entry, exit_ = self._emit_backward_chunk(
-                        asm, stage, unit, last_b=last_b,
-                        layer_tails=layer_tails, bucket_anchor=bucket_anchor)
-                    b_entry[key] = entry
-                    b_exit[key] = exit_
-
-        self._emit_pipeline_comm(asm, f_exit, f_entry, b_exit, b_entry)
-        self._emit_gradient_sync(asm, b_exit, bucket_anchor, last_b)
-
-    def _emit_inference(self, asm: FlatAssembler) -> None:
-        """One inference phase: the pipelined forward pass, nothing else.
-
-        Each stage issues its micro-batches' forward chunks in ascending
-        order — the forward sub-order of both GPipe and 1F1B — through
-        the same :meth:`_emit_forward_chunk` the training path uses, so
-        a prefill graph is exactly the forward-only subgraph of the
-        matching training graph (same labels, durations, and issue
-        order; compute tasks are tagged with the phase kind instead of
-        ``compute``). Only the forward half of the pipeline P2P pass is
-        emitted; no backward, gradient-sync, or weight-update tasks
-        exist.
+        A bucket's All-Reduce depends on the task that retires the
+        bucket's gradients in the last micro-batch's backward (its
+        template anchor) and on the stage's previous bucket All-Reduce.
+        The weight update follows the last All-Reduce, the stage's
+        final backward chunk (chunk 0 of the last micro-batch — backward
+        walks chunks descending in every schedule), and the stage's
+        compute-stream tail.
         """
-        p = self.plan.pipeline
-        f_entry: dict[tuple[int, int, int], int] = {}
-        f_exit: dict[tuple[int, int, int], int] = {}
-        for stage in range(p):
-            for mb in range(self.nmb):
-                unit = ScheduledChunk(FORWARD, mb)
-                entry, exit_ = self._emit_forward_chunk(asm, stage, unit)
-                f_entry[(stage, 0, mb)] = entry
-                f_exit[(stage, 0, mb)] = exit_
-        for boundary in range(p - 1):
-            for mb in range(self.nmb):
-                send = asm.add(boundary, COMM_STREAM,
-                               self.send_time[boundary], KIND_PP_COMM,
-                               f"s{boundary}->s{boundary + 1}/F{mb}",
-                               deps=(f_exit[(boundary, 0, mb)],),
-                               chain=False, slot=f"pp:{boundary}")
-                asm.link(send, f_entry[(boundary + 1, 0, mb)])
+        plan = self.plan
+        last_b = chunks.last_b
+        device: list[int] = []
+        slot: list[int] = []
+        source: list[int] = []
+        target: list[int] = []
+        task = out.num_tasks
+        for stage in range(plan.pipeline):
+            wu_parents = {int(chunks.b_exit[stage, 0, last_b]),
+                          int(chunks.stage_tail[stage])}
+            if plan.data > 1:
+                previous = None
+                for bucket in reversed(range(len(self.bucket_layers))):
+                    chunk = min(self.bucket_layers[bucket]) // self.lpc
+                    template = chunks.templates[chunks.template_of[
+                        (stage * self.v + chunk) * 3 + 2]]
+                    source.append(int(chunks.b_entry[stage, chunk, last_b])
+                                  + template.anchors[bucket])
+                    target.append(task)
+                    if previous is not None:
+                        source.append(previous)
+                        target.append(task)
+                    device.append(stage)
+                    slot.append(table(f"dp:{stage}:{bucket}", KIND_DP_COMM,
+                                      COMM_STREAM,
+                                      self._dp_comms[(stage, bucket)]))
+                    labels.append(f"s{stage}/dp_ar/bucket{bucket}")
+                    previous = task
+                    task += 1
+                wu_parents.add(previous)
+            for parent in sorted(wu_parents):
+                source.append(parent)
+                target.append(task)
+            device.append(stage)
+            slot.append(table(f"wu:{stage}", KIND_WEIGHT_UPDATE,
+                              COMPUTE_STREAM, self._wu_ops[stage]))
+            labels.append(f"s{stage}/weight_update")
+            task += 1
+        out.tasks(np.array(device, dtype=np.intp),
+                  np.array(slot, dtype=np.intp))
+        out.edges(np.array(source, dtype=np.intp),
+                  np.array(target, dtype=np.intp))
 
     # ------------------------------------------------------------------
-    # Chunk emission
+    # Chunk templates
     # ------------------------------------------------------------------
-    def _emit_comp(self, asm: FlatAssembler, stage: int, op: CompOperator,
-                   label: str, kind: str | None = None,
-                   deps: tuple[int, ...] = ()) -> tuple[int, int]:
-        """Emit one computation operator; returns (entry, exit) task ids."""
-        if kind is None:
-            kind = self._compute_kind
-        op_key = op.kind.value
-        if self.granularity is Granularity.KERNEL:
-            first = None
-            last = None
-            for index, kernel in enumerate(self.lookup.tasks_for(op)):
-                node = asm.add(stage, COMPUTE_STREAM, kernel.duration, kind,
-                               f"{label}/{kernel.name}",
-                               deps=deps if index == 0 else (),
-                               payload=kernel, slot=f"k:{op_key}:{index}")
-                first = node if first is None else first
-                last = node
-            if first is None:  # pragma: no cover - decompositions are non-empty
-                raise ConfigError(f"operator {op.kind} produced no kernels")
-            return first, last
-        node = asm.add(stage, COMPUTE_STREAM, self.timings[f"op:{op_key}"],
-                       kind, label, deps=deps, payload=op,
-                       slot=f"op:{op_key}")
-        return node, node
+    def _template(self, table: _SlotTable, stage: int, chunk: int, *,
+                  backward: bool, last: bool) -> _Template:
+        """Tasks of one (stage, chunk, phase, last-backward) chunk, in
+        emission order, with label suffixes relative to the chunk prefix.
 
-    def _emit_tp_allreduce(self, asm: FlatAssembler, stage: int,
-                           label: str) -> int | None:
-        """Inline tensor-parallel All-Reduce (sequential dependency)."""
-        if self.tp_ar is None:
-            return None
-        return asm.add(stage, COMPUTE_STREAM, self.tp_ar_time, KIND_TP_COMM,
-                       label, payload=self.tp_ar, slot="tp_ar")
-
-    def _chunk_prefix(self, stage: int, chunk: int, phase: str,
-                      mb: int) -> str:
-        """Label prefix of one scheduled unit; ``v == 1`` labels carry no
-        chunk component, matching the pre-interleaving graphs exactly."""
-        if self.v == 1:
-            return f"s{stage}/{phase}{mb}"
-        return f"s{stage}/c{chunk}/{phase}{mb}"
-
-    def _emit_forward_chunk(self, asm: FlatAssembler, stage: int,
-                            unit: ScheduledChunk) -> tuple[int, int]:
-        """Forward pass of one micro-batch chunk on one stage."""
-        mb, chunk = unit.micro_batch, unit.chunk
-        prefix = self._chunk_prefix(stage, chunk, "F", mb)
-        if self.granularity is Granularity.STAGE:
-            slot = self._slot("sf", stage, chunk)
-            node = asm.add(stage, COMPUTE_STREAM, self.timings[slot],
-                           self._compute_kind, prefix, slot=slot)
-            return node, node
-        p = self.plan.pipeline
-        entry = None
-        last = None
-        if stage == 0 and chunk == 0:
-            entry, last = self._emit_comp(asm, stage, self.op_fwd_embed,
-                                          f"{prefix}/embed")
-            ar = self._emit_tp_allreduce(asm, stage, f"{prefix}/embed_ar")
-            last = ar if ar is not None else last
-        for local in range(self.lpc):
-            layer = chunk * self.lpc + local
-            first, tail = self._emit_comp(asm, stage, self.op_fwd_mha,
-                                          f"{prefix}/l{layer}/mha")
-            entry = first if entry is None else entry
-            ar = self._emit_tp_allreduce(asm, stage,
-                                         f"{prefix}/l{layer}/mha_ar")
-            _, tail = self._emit_comp(asm, stage, self.op_fwd_ffn,
-                                      f"{prefix}/l{layer}/ffn")
-            ar = self._emit_tp_allreduce(asm, stage,
-                                         f"{prefix}/l{layer}/ffn_ar")
-            last = ar if ar is not None else tail
-        if stage == p - 1 and chunk == self.v - 1:
-            first, last = self._emit_comp(asm, stage, self.op_fwd_head,
-                                          f"{prefix}/lm_head")
-            entry = first if entry is None else entry
-        return entry, last
-
-    def _emit_backward_chunk(self, asm: FlatAssembler, stage: int,
-                             unit: ScheduledChunk, *, last_b: int,
-                             layer_tails: dict[int, int],
-                             bucket_anchor: dict[tuple[int, int], int],
-                             ) -> tuple[int, int]:
-        """Backward pass of one micro-batch chunk on one stage.
-
-        Chunks of the last-synchronising micro-batch record their
-        per-layer weight-gradient tails into ``layer_tails``; the final
-        such chunk in issue order (chunk 0 — backward walks chunks
-        descending) turns the accumulated tails into gradient-bucket
-        anchors.
+        ``last`` templates (the last-synchronising micro-batch's
+        backward) also record, per gradient bucket whose shallowest
+        layer lies in this chunk, the offset of the task that retires
+        the bucket's gradients: backward visits layers deepest-first,
+        so that is the shallowest layer's weight-gradient task (the
+        embedding on stage 0, which retires after layer 0).
         """
-        mb, chunk = unit.micro_batch, unit.chunk
+        template = _Template()
+        add = template.add
+        kind = self._compute_kind
+        first = stage == 0 and chunk == 0
+        final = stage == self.plan.pipeline - 1 and chunk == self.v - 1
+        anchored = [bucket for bucket, layers in enumerate(self.bucket_layers)
+                    if min(layers) // self.lpc == chunk] if last else []
         if self.granularity is Granularity.STAGE:
-            return self._emit_backward_stage(asm, stage, unit, last_b,
-                                             bucket_anchor)
-        p = self.plan.pipeline
-        prefix = self._chunk_prefix(stage, chunk, "B", mb)
-        entry = None
-        last = None
-        if stage == p - 1 and chunk == self.v - 1:
-            entry, last = self._emit_comp(asm, stage, self.op_bwd_head,
-                                          f"{prefix}/lm_head")
-        layer_tail: dict[int, int] = {}
-        for local in reversed(range(self.lpc)):
-            layer = chunk * self.lpc + local
-            first, tail = self._emit_comp(asm, stage, self.op_bwd_ffn,
-                                          f"{prefix}/l{layer}/ffn")
-            entry = first if entry is None else entry
-            self._emit_tp_allreduce(asm, stage,
-                                    f"{prefix}/l{layer}/ffn_ar")
-            _, tail = self._emit_comp(asm, stage, self.op_bwd_mha,
-                                      f"{prefix}/l{layer}/mha")
-            layer_tail[layer] = tail
-            ar = self._emit_tp_allreduce(asm, stage,
-                                         f"{prefix}/l{layer}/mha_ar")
-            last = ar if ar is not None else tail
-        if stage == 0 and chunk == 0:
-            first, last = self._emit_comp(asm, stage, self.op_bwd_embed,
-                                          f"{prefix}/embed")
-            entry = first if entry is None else entry
-            layer_tail[-1] = last  # embedding grads complete last
-        if mb == last_b:
-            layer_tails.update(layer_tail)
-            if chunk == 0:
-                self._record_bucket_anchors(stage, layer_tails, bucket_anchor)
-        return entry, last
-
-    def _record_bucket_anchors(self, stage: int, layer_tail: dict[int, int],
-                               bucket_anchor: dict[tuple[int, int], int],
-                               ) -> None:
-        """Map each gradient bucket to the task completing its gradients.
-
-        Backward visits layers deepest-first, so a bucket's gradients are
-        ready when its *shallowest* layer's weight-gradient task retires
-        (the embedding, on stage 0, retires after layer 0).
-        """
-        for bucket, layers in enumerate(self.bucket_layers):
-            shallowest = min(layers)
-            if stage == 0 and shallowest == 0 and -1 in layer_tail:
-                anchor = layer_tail[-1]
+            if not backward:
+                key = self._slot("sf", stage, chunk)
+                add(table(key, kind, COMPUTE_STREAM), "")
+            elif not last:
+                key = self._slot("sb", stage, chunk)
+                add(table(key, KIND_COMPUTE, COMPUTE_STREAM), "")
             else:
-                anchor = layer_tail[shallowest]
-            bucket_anchor[(stage, bucket)] = anchor
+                # Split at gradient-bucket boundaries (deepest first) so
+                # bucket All-Reduces still overlap the remaining
+                # backward compute.
+                for bucket, _width in self._bucket_segments(chunk):
+                    if bucket in anchored:
+                        template.anchors[bucket] = len(template.slots)
+                    key = self._slot("sbl", stage, chunk, bucket)
+                    add(table(key, KIND_COMPUTE, COMPUTE_STREAM),
+                        f"/bucket{bucket}")
+            return template
+
+        def comp(op: CompOperator, label: str) -> None:
+            op_key = op.kind.value
+            if self.granularity is Granularity.KERNEL:
+                for index, kernel in enumerate(self.lookup.tasks_for(op)):
+                    add(table(f"k:{op_key}:{index}", kind, COMPUTE_STREAM,
+                              kernel), f"{label}/{kernel.name}")
+            else:
+                add(table(f"op:{op_key}", kind, COMPUTE_STREAM, op), label)
+
+        def tp_allreduce(label: str) -> None:
+            # Inline tensor-parallel All-Reduce (sequential dependency).
+            if self.tp_ar is not None:
+                add(table("tp_ar", KIND_TP_COMM, COMPUTE_STREAM, self.tp_ar),
+                    label)
+
+        layers = range(chunk * self.lpc, (chunk + 1) * self.lpc)
+        if not backward:
+            if first:
+                comp(self.op_fwd_embed, "/embed")
+                tp_allreduce("/embed_ar")
+            for layer in layers:
+                comp(self.op_fwd_mha, f"/l{layer}/mha")
+                tp_allreduce(f"/l{layer}/mha_ar")
+                comp(self.op_fwd_ffn, f"/l{layer}/ffn")
+                tp_allreduce(f"/l{layer}/ffn_ar")
+            if final:
+                comp(self.op_fwd_head, "/lm_head")
+            return template
+        if final:
+            comp(self.op_bwd_head, "/lm_head")
+        tails: dict[int, int] = {}
+        for layer in reversed(layers):
+            comp(self.op_bwd_ffn, f"/l{layer}/ffn")
+            tp_allreduce(f"/l{layer}/ffn_ar")
+            comp(self.op_bwd_mha, f"/l{layer}/mha")
+            tails[layer] = len(template.slots) - 1
+            tp_allreduce(f"/l{layer}/mha_ar")
+        if first:
+            comp(self.op_bwd_embed, "/embed")
+            tails[0] = len(template.slots) - 1  # embedding grads retire last
+        for bucket in anchored:
+            template.anchors[bucket] = tails[min(self.bucket_layers[bucket])]
+        return template
 
     # ------------------------------------------------------------------
     # Stage-granularity chunk durations
@@ -899,109 +1166,3 @@ class GraphBuilder:
         if stage == 0 and chunk == 0:
             dur += self.lookup.duration_of(self.op_bwd_embed)
         return dur
-
-    def _emit_backward_stage(self, asm: FlatAssembler, stage: int,
-                             unit: ScheduledChunk, last_b: int,
-                             bucket_anchor: dict[tuple[int, int], int],
-                             ) -> tuple[int, int]:
-        """Stage-granularity backward chunk.
-
-        Ordinary chunks are one task. The last micro-batch's chunks are
-        split at gradient-bucket boundaries (deepest layers first) so
-        bucket All-Reduces can still overlap the remaining backward
-        compute; a bucket anchors in the chunk holding its shallowest
-        layer, because backward visits chunks in descending order and
-        that chunk therefore retires the bucket's final gradients.
-        """
-        mb, chunk = unit.micro_batch, unit.chunk
-        label = self._chunk_prefix(stage, chunk, "B", mb)
-        if mb != last_b:
-            slot = self._slot("sb", stage, chunk)
-            node = asm.add(stage, COMPUTE_STREAM, self.timings[slot],
-                           KIND_COMPUTE, label, slot=slot)
-            return node, node
-        entry = None
-        last = None
-        for bucket, _width in self._bucket_segments(chunk):
-            slot = self._slot("sbl", stage, chunk, bucket)
-            node = asm.add(stage, COMPUTE_STREAM, self.timings[slot],
-                           KIND_COMPUTE, f"{label}/bucket{bucket}",
-                           slot=slot)
-            if min(self.bucket_layers[bucket]) // self.lpc == chunk:
-                bucket_anchor[(stage, bucket)] = node
-            entry = node if entry is None else entry
-            last = node
-        return entry, last
-
-    # ------------------------------------------------------------------
-    # Communication passes
-    # ------------------------------------------------------------------
-    def _emit_pipeline_comm(self, asm, f_exit, f_entry, b_exit, b_entry):
-        """Insert Send-Receive tasks at every stage boundary (Figure 6).
-
-        Interleaved plans carry every chunk across each boundary, plus
-        the wrap-around hops: forward output of chunk ``c`` on the last
-        stage feeds chunk ``c+1`` on stage 0, and chunk ``c+1``'s
-        gradient on stage 0 feeds chunk ``c``'s backward on the last
-        stage.
-        """
-        p, v = self.plan.pipeline, self.v
-        for boundary in range(p - 1):
-            for mb in range(self.nmb):
-                for chunk in range(v):
-                    mid = "" if v == 1 else f"/c{chunk}"
-                    send = asm.add(boundary, COMM_STREAM,
-                                   self.send_time[boundary], KIND_PP_COMM,
-                                   f"s{boundary}->s{boundary + 1}{mid}/F{mb}",
-                                   deps=(f_exit[(boundary, chunk, mb)],),
-                                   chain=False, slot=f"pp:{boundary}")
-                    asm.link(send, f_entry[(boundary + 1, chunk, mb)])
-                    recv = asm.add(boundary + 1, COMM_STREAM,
-                                   self.send_time[boundary], KIND_PP_COMM,
-                                   f"s{boundary + 1}->s{boundary}{mid}/B{mb}",
-                                   deps=(b_exit[(boundary + 1, chunk, mb)],),
-                                   chain=False, slot=f"pp:{boundary}")
-                    asm.link(recv, b_entry[(boundary, chunk, mb)])
-        for chunk in range(v - 1):
-            for mb in range(self.nmb):
-                send = asm.add(p - 1, COMM_STREAM, self.wrap_time,
-                               KIND_PP_COMM,
-                               f"s{p - 1}/c{chunk}->s0/c{chunk + 1}/F{mb}",
-                               deps=(f_exit[(p - 1, chunk, mb)],),
-                               chain=False, slot="pp:wrap")
-                asm.link(send, f_entry[(0, chunk + 1, mb)])
-                recv = asm.add(0, COMM_STREAM, self.wrap_time,
-                               KIND_PP_COMM,
-                               f"s0/c{chunk + 1}->s{p - 1}/c{chunk}/B{mb}",
-                               deps=(b_exit[(0, chunk + 1, mb)],),
-                               chain=False, slot="pp:wrap")
-                asm.link(recv, b_entry[(p - 1, chunk, mb)])
-
-    def _emit_gradient_sync(self, asm, b_exit, bucket_anchor,
-                            last_b) -> None:
-        """Insert DP gradient All-Reduces (Figure 5) and weight updates."""
-        plan = self.plan
-        d = plan.data
-        num_buckets = len(self.bucket_layers)
-        for stage in range(plan.pipeline):
-            wu_deps: list[int] = []
-            if d > 1:
-                last_ar = None
-                for bucket in reversed(range(num_buckets)):
-                    comm = self._dp_comms[(stage, bucket)]
-                    anchor = bucket_anchor[(stage, bucket)]
-                    last_ar = asm.add(stage, COMM_STREAM,
-                                      self.timings[f"dp:{stage}:{bucket}"],
-                                      KIND_DP_COMM,
-                                      f"s{stage}/dp_ar/bucket{bucket}",
-                                      deps=(anchor,), payload=comm,
-                                      slot=f"dp:{stage}:{bucket}")
-                wu_deps.append(last_ar)
-            wu_op = self._wu_ops[stage]
-            # Chunk 0's backward is the final backward in every
-            # schedule's issue order (backward walks chunks descending).
-            wu_deps.append(b_exit[(stage, 0, last_b)])
-            asm.add(stage, COMPUTE_STREAM, self.timings[f"wu:{stage}"],
-                    KIND_WEIGHT_UPDATE, f"s{stage}/weight_update",
-                    deps=tuple(wu_deps), payload=wu_op,
-                    slot=f"wu:{stage}")

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.config.parallelism import PipelineSchedule
 from repro.errors import ConfigError
 
@@ -47,11 +49,7 @@ def gpipe_order(num_micro_batches: int) -> list[ScheduledChunk]:
     Backwards run most-recent-first because the last micro-batch's
     activations are freshest (Figure 7a).
     """
-    _check(num_micro_batches)
-    forwards = [ScheduledChunk(FORWARD, i) for i in range(num_micro_batches)]
-    backwards = [ScheduledChunk(BACKWARD, i)
-                 for i in reversed(range(num_micro_batches))]
-    return forwards + backwards
+    return _chunks(*_gpipe_columns(num_micro_batches))
 
 
 def one_f_one_b_order(stage: int, num_stages: int,
@@ -62,20 +60,8 @@ def one_f_one_b_order(stage: int, num_stages: int,
     alternates one forward with one backward, then drains the remaining
     backwards. The last stage has zero warm-up and strictly alternates.
     """
-    _check(num_micro_batches)
-    if not 0 <= stage < num_stages:
-        raise ConfigError(f"stage {stage} outside pipeline of {num_stages}")
-    warmup = min(num_micro_batches, num_stages - 1 - stage)
-    order: list[ScheduledChunk] = []
-    for i in range(warmup):
-        order.append(ScheduledChunk(FORWARD, i))
-    steady = num_micro_batches - warmup
-    for i in range(steady):
-        order.append(ScheduledChunk(FORWARD, warmup + i))
-        order.append(ScheduledChunk(BACKWARD, i))
-    for i in range(steady, num_micro_batches):
-        order.append(ScheduledChunk(BACKWARD, i))
-    return order
+    return _chunks(*_one_f_one_b_columns(stage, num_stages,
+                                         num_micro_batches))
 
 
 def interleaved_order(stage: int, num_stages: int, num_micro_batches: int,
@@ -92,6 +78,51 @@ def interleaved_order(stage: int, num_stages: int, num_micro_batches: int,
     them descending, so the final backward on every stage is chunk 0 of
     the last micro-batch.
     """
+    return _chunks(*_interleaved_columns(stage, num_stages,
+                                         num_micro_batches, virtual_stages))
+
+
+def schedule_order(schedule: PipelineSchedule, stage: int, num_stages: int,
+                   num_micro_batches: int, *,
+                   virtual_stages: int = 1) -> list[ScheduledChunk]:
+    """Issue order for one stage under the chosen scheduling policy."""
+    return _chunks(*schedule_columns(schedule, stage, num_stages,
+                                     num_micro_batches,
+                                     virtual_stages=virtual_stages))
+
+
+# ---------------------------------------------------------------------------
+# Columnar form: the one implementation of every schedule
+# ---------------------------------------------------------------------------
+# A stage's issue order as three parallel arrays — ``backward`` (bool),
+# ``micro_batch`` and ``chunk`` — so the graph builder can place tens of
+# thousands of scheduled chunks without a Python object per chunk. The
+# list functions above wrap these.
+
+Columns = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _gpipe_columns(num_micro_batches: int) -> Columns:
+    _check(num_micro_batches)
+    forwards = np.arange(num_micro_batches, dtype=np.intp)
+    backward = np.repeat(np.array([False, True]), num_micro_batches)
+    micro_batch = np.concatenate([forwards, forwards[::-1]])
+    return backward, micro_batch, np.zeros_like(micro_batch)
+
+
+def _one_f_one_b_columns(stage: int, num_stages: int,
+                         num_micro_batches: int) -> Columns:
+    _check(num_micro_batches)
+    if not 0 <= stage < num_stages:
+        raise ConfigError(f"stage {stage} outside pipeline of {num_stages}")
+    warmup = min(num_micro_batches, num_stages - 1 - stage)
+    backward, micro_batch = _one_f_one_b_units(num_micro_batches, warmup)
+    return backward, micro_batch, np.zeros_like(micro_batch)
+
+
+def _interleaved_columns(stage: int, num_stages: int,
+                         num_micro_batches: int,
+                         virtual_stages: int) -> Columns:
     _check(num_micro_batches)
     if not 0 <= stage < num_stages:
         raise ConfigError(f"stage {stage} outside pipeline of {num_stages}")
@@ -104,46 +135,61 @@ def interleaved_order(stage: int, num_stages: int, num_micro_batches: int,
             f"({num_stages})")
     p, v = num_stages, virtual_stages
     total = num_micro_batches * v
-
-    def forward_unit(k: int) -> ScheduledChunk:
-        group, j = divmod(k, p * v)
-        return ScheduledChunk(FORWARD, group * p + j % p, chunk=j // p)
-
-    def backward_unit(k: int) -> ScheduledChunk:
-        group, j = divmod(k, p * v)
-        return ScheduledChunk(BACKWARD, group * p + j % p,
-                              chunk=v - 1 - j // p)
-
     if num_micro_batches == p:
         warmup = total
     else:
         warmup = min(2 * (p - stage - 1) + (v - 1) * p, total)
-    order = [forward_unit(k) for k in range(warmup)]
-    for k in range(total - warmup):
-        order.append(forward_unit(warmup + k))
-        order.append(backward_unit(k))
-    for k in range(total - warmup, total):
-        order.append(backward_unit(k))
-    return order
+    backward, unit = _one_f_one_b_units(total, warmup)
+    # Unit k covers micro-batch group k // (p*v); within a group,
+    # micro-batches advance fastest and chunks (descending for
+    # backward units) slowest.
+    group, j = np.divmod(unit, p * v)
+    chunk = j // p
+    chunk[backward] = v - 1 - chunk[backward]
+    return backward, group * p + j % p, chunk
 
 
-def schedule_order(schedule: PipelineSchedule, stage: int, num_stages: int,
-                   num_micro_batches: int, *,
-                   virtual_stages: int = 1) -> list[ScheduledChunk]:
-    """Issue order for one stage under the chosen scheduling policy."""
+def schedule_columns(schedule: PipelineSchedule, stage: int, num_stages: int,
+                     num_micro_batches: int, *,
+                     virtual_stages: int = 1) -> Columns:
+    """Columnar :func:`schedule_order`."""
     if virtual_stages < 1:
         raise ConfigError("virtual_stages must be positive")
     if schedule is PipelineSchedule.GPIPE:
         if virtual_stages > 1:
             raise ConfigError("GPipe has no interleaved variant; "
                               "virtual_stages requires the 1F1B schedule")
-        return gpipe_order(num_micro_batches)
+        return _gpipe_columns(num_micro_batches)
     if schedule is PipelineSchedule.ONE_F_ONE_B:
         if virtual_stages > 1:
-            return interleaved_order(stage, num_stages, num_micro_batches,
-                                     virtual_stages)
-        return one_f_one_b_order(stage, num_stages, num_micro_batches)
+            return _interleaved_columns(stage, num_stages,
+                                        num_micro_batches, virtual_stages)
+        return _one_f_one_b_columns(stage, num_stages, num_micro_batches)
     raise ConfigError(f"unknown schedule {schedule}")
+
+
+def _one_f_one_b_units(total: int,
+                       warmup: int) -> tuple[np.ndarray, np.ndarray]:
+    """Warm-up, steady and drain phases over ``total`` schedule units:
+    ``warmup`` forwards, then forward ``warmup + k`` paired with
+    backward ``k``, then the last ``warmup`` backwards."""
+    steady = total - warmup
+    backward = np.concatenate([np.zeros(warmup, dtype=bool),
+                               np.tile(np.array([False, True]), steady),
+                               np.ones(warmup, dtype=bool)])
+    pairs = np.stack([np.arange(warmup, total, dtype=np.intp),
+                      np.arange(steady, dtype=np.intp)], axis=1)
+    unit = np.concatenate([np.arange(warmup, dtype=np.intp), pairs.ravel(),
+                           np.arange(steady, total, dtype=np.intp)])
+    return backward, unit
+
+
+def _chunks(backward: np.ndarray, micro_batch: np.ndarray,
+            chunk: np.ndarray) -> list[ScheduledChunk]:
+    return [ScheduledChunk(BACKWARD if is_backward else FORWARD, mb, c)
+            for is_backward, mb, c in zip(backward.tolist(),
+                                          micro_batch.tolist(),
+                                          chunk.tolist())]
 
 
 def last_backward_micro_batch(schedule: PipelineSchedule,

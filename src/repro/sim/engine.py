@@ -17,8 +17,8 @@ Two implementations of the algorithm exist:
 
 * :func:`simulate_retimed` — the production engine. The FIFO pop order
   of Algorithm 1 is purely structural (durations never change which
-  task is popped next), so it is precomputed once when a
-  :class:`~repro.graph.structure.FlatAssembler` is compiled into a
+  task is popped next), so it is precomputed once when emitted task
+  columns are compiled into a
   :class:`~repro.graph.structure.GraphStructure`; replay is then a
   single array pass in that order — no dicts, no deque, no per-task
   object churn, :class:`~repro.sim.results.TimelineEvent` objects

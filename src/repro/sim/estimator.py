@@ -58,9 +58,10 @@ class PredictTiming:
     ``builder_init_s`` is builder construction — network-model setup
     (NCCL timing tables) plus per-operator timing resolution — which
     runs on *every* predict, hit or miss; it used to go unreported, so
-    cold breakdowns didn't add up. ``structure_s`` is graph assembly +
+    cold breakdowns didn't add up. ``structure_s`` is graph emission +
     compilation when the structure cache missed, ``0.0`` on a hit;
-    ``fill_s`` is the slot-broadcast duration refill (hits only).
+    ``fill_s`` is the slot-broadcast duration fill, which hits and
+    misses alike run against the plan's timing table.
     Surfaced by ``repro predict --timing``.
     """
 
@@ -188,10 +189,11 @@ class VTrain:
 
         Consults the process-wide structure cache: on a hit only the
         duration vector is refilled from this builder's timing table
-        (retime-without-rebuild); on a miss the graph is assembled,
+        (retime-without-rebuild); on a miss the graph is stamped,
         compiled, and cached for every later predict that shares its
         structural fingerprint — across micro-batch sizes, parallel
-        degrees, systems, and VTrain instances alike.
+        degrees, systems, and VTrain instances alike. Both paths fill
+        the durations through the same slot broadcast.
 
         Pass ``workload``/``phase`` together to compile an inference
         phase graph (prefill or decode) instead of the training
@@ -207,12 +209,9 @@ class VTrain:
         structure = structure_cache_get(key)
         cache_hit = structure is not None
         build_s = 0.0
-        fill_s = 0.0
         if structure is not None:
-            tick = time.perf_counter()
             try:
-                with obs.span("duration_fill", tasks=structure.num_tasks):
-                    durations = builder.fill_durations(structure)
+                durations, fill_s = self._fill(builder, structure)
             except SimulationError as exc:
                 # Structural drift the fingerprint failed to capture:
                 # drop the stale entry and rebuild from scratch. Count
@@ -226,8 +225,6 @@ class VTrain:
                 structure_cache_evict(key)
                 structure = None
                 cache_hit = False
-            else:
-                fill_s = time.perf_counter() - tick
         if structure is None:
             tick = time.perf_counter()
             with obs.span("structure_build") as tags:
@@ -235,15 +232,15 @@ class VTrain:
                 tags["tasks"] = structure.num_tasks
             build_s = time.perf_counter() - tick
             structure_cache_put(key, structure)
-            durations = structure.duration
+            durations, fill_s = self._fill(builder, structure)
         if cache_hit:
             with self._stats_lock:
                 self.structure_cache_hits += 1
-            obs.observe("sim.duration_fill_s", fill_s)
         else:
             with self._stats_lock:
                 self.structure_cache_misses += 1
             obs.observe("sim.structure_build_s", build_s)
+        obs.observe("sim.duration_fill_s", fill_s)
         obs.observe("sim.builder_init_s", builder_init_s)
         return PreparedPlan(structure=structure, durations=durations,
                             metadata=builder.graph_metadata(),
@@ -251,6 +248,16 @@ class VTrain:
                             structure_cache_hit=cache_hit,
                             structure_s=build_s, fill_s=fill_s,
                             builder_init_s=builder_init_s)
+
+    @staticmethod
+    def _fill(builder: GraphBuilder,
+              structure: GraphStructure) -> tuple[np.ndarray, float]:
+        """Durations for ``structure`` from ``builder``'s timing table,
+        and the seconds the fill took."""
+        tick = time.perf_counter()
+        with obs.span("duration_fill", tasks=structure.num_tasks):
+            durations = builder.fill_durations(structure)
+        return durations, time.perf_counter() - tick
 
     # ------------------------------------------------------------------
     # Prediction

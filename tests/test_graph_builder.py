@@ -64,6 +64,42 @@ class TestStructure:
         assert len(updates) == 4
         assert {graph.device_ids[pos] for pos in updates} == {0, 1, 2, 3}
 
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    def test_lazy_views_follow_the_replay_permutation(self, tiny_model,
+                                                      training, granularity):
+        """Labels, streams, durations and payloads a structure builds on
+        first read are the emitted tasks', permuted into replay order,
+        and each payload is the operator behind the task's slot."""
+        plan = ParallelismConfig(tensor=2, data=2, pipeline=2,
+                                 micro_batch_size=2)
+        system = single_node()
+        lookup = OperatorToTaskTable(CuptiTracer(DeviceModel(system.gpu)))
+        builder = GraphBuilder(tiny_model, system, plan, training, lookup,
+                               NcclModel(system), granularity)
+        graph = builder.compile()
+        asm = builder.assemble()
+        order = graph.task_ids
+        assert list(graph.label) == [asm.label[task] for task in order]
+        assert list(graph.stream) == [asm.stream[task] for task in order]
+        assert graph.duration_view == [asm.duration[task] for task in order]
+        for pos, task in enumerate(order):
+            payload = graph.payload[pos]
+            assert payload is asm.payload[task]
+            tag, _, rest = graph.slot_keys[graph.slot_index[pos]].partition(":")
+            if tag == "op":
+                assert payload.kind.value == rest
+            elif tag == "k":
+                assert asm.label[task].endswith("/" + payload.name)
+            elif tag == "tp_ar":
+                assert payload is builder.tp_ar
+            elif tag == "dp":
+                stage, bucket = map(int, rest.split(":"))
+                assert payload is builder._dp_comms[(stage, bucket)]
+            elif tag == "wu":
+                assert payload is builder._wu_ops[int(rest)]
+            else:  # P2P hops and stage-granularity chunks
+                assert payload is None
+
     def test_plan_exceeding_system_rejected(self, tiny_model, training):
         plan = ParallelismConfig(tensor=8, data=2, pipeline=1)
         with pytest.raises(ConfigError):

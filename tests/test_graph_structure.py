@@ -224,3 +224,59 @@ class TestStructureCache:
             assert structure_cache_stats()["evictions"] == 1
         finally:
             clear_structure_cache()
+
+    def test_malformed_budget_raises_naming_the_variable(self, monkeypatch):
+        from repro.errors import ConfigError
+        from repro.graph.builder import (clear_structure_cache,
+                                         structure_cache_put,
+                                         structure_cache_stats)
+        asm = FlatAssembler()
+        asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, "a")
+        structure = asm.compile(num_devices=1)
+        clear_structure_cache()
+        try:
+            for raw in ("lots", "1e6", "-5", ""):
+                monkeypatch.setenv("REPRO_STRUCTURE_CACHE_TASKS", raw)
+                with pytest.raises(ConfigError,
+                                   match="REPRO_STRUCTURE_CACHE_TASKS"):
+                    structure_cache_put("k", structure)
+                assert structure_cache_stats()["entries"] == 0
+        finally:
+            clear_structure_cache()
+
+    def test_cached_task_total_tracks_every_mutation(self, monkeypatch):
+        from repro.graph.builder import (_STRUCTURE_CACHE,
+                                         clear_structure_cache,
+                                         structure_cache_evict,
+                                         structure_cache_put,
+                                         structure_cache_stats)
+        monkeypatch.setenv("REPRO_STRUCTURE_CACHE_TASKS", "6")
+
+        def structure_with(num_tasks):
+            asm = FlatAssembler()
+            for index in range(num_tasks):
+                asm.add(0, COMPUTE_STREAM, 1.0, KIND_COMPUTE, f"t{index}")
+            return asm.compile(num_devices=1)
+
+        def summed():
+            return sum(entry.num_tasks for entry in _STRUCTURE_CACHE.values())
+
+        clear_structure_cache()
+        try:
+            steps = [("put", "a", 3), ("put", "b", 2), ("put", "a", 1),
+                     ("put", "c", 4), ("evict", "c", 0), ("evict", "x", 0),
+                     ("put", "d", 9)]
+            for action, key, size in steps:
+                if action == "put":
+                    structure_cache_put(key, structure_with(size))
+                else:
+                    structure_cache_evict(key)
+                assert structure_cache_stats()["cached_tasks"] == summed()
+            # The oversized entry stays alone rather than emptying the
+            # cache.
+            assert structure_cache_stats()["entries"] == 1
+            assert structure_cache_stats()["cached_tasks"] == 9
+            clear_structure_cache()
+            assert structure_cache_stats()["cached_tasks"] == 0
+        finally:
+            clear_structure_cache()

@@ -58,7 +58,41 @@ def schedule_cases(draw):
     return schedule, stage, p, nmb, v
 
 
+def loop_order(schedule, stage, p, nmb, v):
+    """The issue order written as plain loops over (phase, micro-batch,
+    chunk) — the reference the columnar schedules must reproduce."""
+    if schedule is PipelineSchedule.GPIPE:
+        return ([(FORWARD, mb, 0) for mb in range(nmb)]
+                + [(BACKWARD, mb, 0) for mb in reversed(range(nmb))])
+    if v == 1:
+        warmup = min(nmb, p - 1 - stage)
+        order = [(FORWARD, mb, 0) for mb in range(warmup)]
+        for mb in range(nmb - warmup):
+            order += [(FORWARD, warmup + mb, 0), (BACKWARD, mb, 0)]
+        return order + [(BACKWARD, mb, 0) for mb in range(nmb - warmup, nmb)]
+
+    def unit(phase, k):
+        group, j = divmod(k, p * v)
+        chunk = j // p if phase == FORWARD else v - 1 - j // p
+        return (phase, group * p + j % p, chunk)
+
+    total = nmb * v
+    warmup = total if nmb == p else min(2 * (p - stage - 1) + (v - 1) * p,
+                                        total)
+    order = [unit(FORWARD, k) for k in range(warmup)]
+    for k in range(total - warmup):
+        order += [unit(FORWARD, warmup + k), unit(BACKWARD, k)]
+    return order + [unit(BACKWARD, k) for k in range(total - warmup, total)]
+
+
 class TestPermutationProperty:
+    @given(case=schedule_cases())
+    def test_columnar_schedule_matches_loop_reference(self, case):
+        schedule, stage, p, nmb, v = case
+        order = schedule_order(schedule, stage, p, nmb, virtual_stages=v)
+        assert ([(c.phase, c.micro_batch, c.chunk) for c in order]
+                == loop_order(schedule, stage, p, nmb, v))
+
     @given(case=schedule_cases())
     def test_every_schedule_is_a_valid_permutation(self, case):
         schedule, stage, p, nmb, v = case

@@ -17,6 +17,7 @@ The load-bearing claims under test:
 from __future__ import annotations
 
 import io
+import sys
 import threading
 
 import pytest
@@ -586,13 +587,22 @@ class TestConcurrentStructureCache:
 
         threads = [threading.Thread(target=worker, args=(i,))
                    for i in range(n_threads)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors
         stats = structure_cache_stats()
         assert stats["entries"] == n_keys
+        # Racing puts of one key replace each other; the running task
+        # total must still equal the entries' sum (one task each).
+        assert stats["cached_tasks"] == n_keys
         assert stats["hits"] + stats["misses"] == 2 * n_threads * rounds
 
 

@@ -168,6 +168,25 @@ class TestProfilingAmortisation:
         assert second.simulation.device_timeline == \
             first.simulation.device_timeline
 
+    def test_miss_fills_durations_through_the_slots(self, tiny_model,
+                                                    training):
+        """A cold predict runs the same slot-broadcast duration fill as
+        a warm one, so its fill phase is real and its phases add up."""
+        clear_structure_cache()
+        try:
+            vtrain = VTrain(single_node())
+            plan = ParallelismConfig(tensor=2, data=2, pipeline=2,
+                                     micro_batch_size=2)
+            vtrain.predict(tiny_model, plan, training)
+            timing = vtrain.last_predict_timing
+            assert not timing.structure_cache_hit
+            assert timing.structure_s > 0.0
+            assert timing.fill_s > 0.0
+            assert (timing.structure_s + timing.fill_s + timing.replay_s
+                    <= timing.total_s)
+        finally:
+            clear_structure_cache()
+
     def test_fingerprint_drift_rebuilds_loudly(self, tiny_model, training):
         """A cached structure that does not match its fingerprint's
         builder is evicted and rebuilt, counted and warned about."""
