@@ -55,7 +55,8 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from functools import partial
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -315,7 +316,7 @@ def structure_affinity(model: ModelConfig, plan: ParallelismConfig,
         return None
 
 
-STREAMS = (COMPUTE_STREAM, COMM_STREAM)
+_STREAMS = (COMPUTE_STREAM, COMM_STREAM)
 
 
 class _SlotTable:
@@ -336,7 +337,7 @@ class _SlotTable:
         if code is None:
             code = self.codes[key] = len(self.codes)
             self.kind.append(self.kinds.setdefault(kind, len(self.kinds)))
-            self.stream.append(STREAMS.index(stream))
+            self.stream.append(_STREAMS.index(stream))
             self.payloads[key] = payload
         return code
 
@@ -356,40 +357,49 @@ class _Template:
 
 
 class _Emission:
-    """Accumulates stamped task and edge arrays in emission order."""
+    """Accumulates stamped task and edge arrays in emission order.
+
+    Each block of tasks comes with a function producing its labels, so
+    a label is built only when a consumer reads it (timelines, traces,
+    the testbed, the reference view). Those functions capture per-chunk
+    arrays and small ints, never the builder, so a cached structure
+    keeps no builder alive.
+    """
 
     def __init__(self) -> None:
         self.num_tasks = 0
         self.devices: list[np.ndarray] = []
         self.slots: list[np.ndarray] = []
+        self.labels: list[Callable[[], Iterable[str]]] = []
         self.sources: list[np.ndarray] = []
         self.targets: list[np.ndarray] = []
 
-    def tasks(self, device: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    def tasks(self, device: np.ndarray, slot: np.ndarray,
+              labels: Callable[[], Iterable[str]]) -> np.ndarray:
         """Append tasks (one per element); returns their ids."""
         first = self.num_tasks
         self.num_tasks += device.size
         self.devices.append(device)
         self.slots.append(slot)
+        self.labels.append(labels)
         return np.arange(first, self.num_tasks, dtype=np.intp)
 
     def edges(self, parent: np.ndarray, child: np.ndarray) -> None:
         self.sources.append(parent)
         self.targets.append(child)
 
-    def send_recv(self, device, slot, parent: np.ndarray,
-                  child: np.ndarray) -> None:
+    def send_recv(self, device, slot, parent: np.ndarray, child: np.ndarray,
+                  labels: Callable[[], Iterable[str]]) -> None:
         """One P2P task per element of ``parent``/``child``, in C order,
         each between its parent and child (``device`` and ``slot``
         broadcast against them)."""
         shape = parent.shape
         tasks = self.tasks(np.broadcast_to(device, shape).ravel(),
-                           np.broadcast_to(slot, shape).ravel())
+                           np.broadcast_to(slot, shape).ravel(), labels)
         self.edges(parent.ravel(), tasks)
         self.edges(tasks, child.ravel())
 
-    def columns(self, table: _SlotTable,
-                labels: Callable[[], Sequence[str]]) -> TaskColumns:
+    def columns(self, table: _SlotTable) -> TaskColumns:
         """The finished columns; children sorted by task id."""
         num_tasks = self.num_tasks
         key = (np.concatenate(self.sources) * num_tasks
@@ -405,23 +415,42 @@ class _Emission:
             kind=np.array(table.kind, dtype=np.intp)[slot],
             kinds=tuple(table.kinds),
             stream=np.array(table.stream, dtype=np.intp)[slot],
-            streams=STREAMS, slot=slot, slot_keys=tuple(table.codes),
+            streams=_STREAMS, slot=slot, slot_keys=tuple(table.codes),
             child_ptr=child_ptr, child_idx=key - parent * num_tasks,
-            duration=None, labels=labels, slot_payloads=table.payloads)
+            duration=None, labels=partial(_joined, tuple(self.labels)),
+            slot_payloads=table.payloads)
+
+
+def _joined(blocks: tuple[Callable[[], Iterable[str]], ...]) -> list[str]:
+    """Labels of every emitted block, in emission order."""
+    return [label for block in blocks for label in block()]
+
+
+def _chunk_labels(units: tuple[np.ndarray, ...], suffixes: list[list[str]],
+                  interleaved: bool) -> list[str]:
+    """Chunk prefix + template suffix for every placed chunk's tasks;
+    ``units`` holds the (stage, chunk, micro-batch, backward, template)
+    column of each chunk. Non-interleaved prefixes carry no chunk."""
+    labels: list[str] = []
+    extend = labels.extend
+    for stage, chunk, mb, backward, template in zip(
+            *(column.tolist() for column in units)):
+        phase = "B" if backward else "F"
+        prefix = (f"s{stage}/c{chunk}/{phase}{mb}" if interleaved
+                  else f"s{stage}/{phase}{mb}")
+        extend([prefix + suffix for suffix in suffixes[template]])
+    return labels
 
 
 @dataclass
 class _Chunks:
     """Where :meth:`GraphBuilder._stamp_chunks` placed the chunks.
 
-    ``units`` holds the per-chunk (stage, chunk, micro-batch, backward,
-    template) columns in emission order; ``f_entry``/``f_exit``/
-    ``b_entry``/``b_exit`` map (stage, chunk, micro-batch) to a forward
-    or backward chunk's first and last task; ``stage_tail`` is each
-    stage's last compute-stream task.
+    ``f_entry``/``f_exit``/``b_entry``/``b_exit`` map (stage, chunk,
+    micro-batch) to a forward or backward chunk's first and last task;
+    ``stage_tail`` is each stage's last compute-stream task.
     """
 
-    units: tuple[np.ndarray, ...]
     templates: list[_Template]
     template_of: np.ndarray
     last_b: int
@@ -430,47 +459,6 @@ class _Chunks:
     f_exit: np.ndarray
     b_entry: np.ndarray
     b_exit: np.ndarray
-
-
-class _StampLabels:
-    """Emission-order labels of a stamped graph, built on demand: only
-    timeline recording, traces, the testbed and the reference view read
-    them. Holds per-chunk arrays and template suffixes, not the
-    builder, so a cached structure keeps no builder alive."""
-
-    def __init__(self, *, units: tuple[np.ndarray, ...],
-                 suffixes: list[list[str]], p: int, v: int, nmb: int,
-                 training: bool, sync_labels: list[str]) -> None:
-        self.units = units
-        self.suffixes = suffixes
-        self.p, self.v, self.nmb = p, v, nmb
-        self.training = training
-        self.sync_labels = sync_labels
-
-    def __call__(self) -> list[str]:
-        p, v, nmb = self.p, self.v, self.nmb
-        labels: list[str] = []
-        extend = labels.extend
-        append = labels.append
-        for stage, chunk, mb, backward, template in zip(
-                *(column.tolist() for column in self.units)):
-            phase = "B" if backward else "F"
-            prefix = (f"s{stage}/{phase}{mb}" if v == 1
-                      else f"s{stage}/c{chunk}/{phase}{mb}")
-            extend([prefix + suffix for suffix in self.suffixes[template]])
-        for boundary in range(p - 1):
-            for mb in range(nmb):
-                for chunk in range(v):
-                    mid = "" if v == 1 else f"/c{chunk}"
-                    append(f"s{boundary}->s{boundary + 1}{mid}/F{mb}")
-                    if self.training:
-                        append(f"s{boundary + 1}->s{boundary}{mid}/B{mb}")
-        for chunk in range(v - 1):
-            for mb in range(nmb):
-                append(f"s{p - 1}/c{chunk}->s0/c{chunk + 1}/F{mb}")
-                append(f"s0/c{chunk + 1}->s{p - 1}/c{chunk}/B{mb}")
-        extend(self.sync_labels)
-        return labels
 
 
 class GraphBuilder:
@@ -870,15 +858,9 @@ class GraphBuilder:
         out = _Emission()
         chunks = self._stamp_chunks(table, out)
         self._stamp_pipeline_comm(table, out, chunks)
-        sync_labels: list[str] = []
         if self.phase is None:
-            self._stamp_gradient_sync(table, out, chunks, sync_labels)
-        labels = _StampLabels(
-            units=chunks.units,
-            suffixes=[template.suffixes for template in chunks.templates],
-            p=self.plan.pipeline, v=self.v, nmb=self.nmb,
-            training=self.phase is None, sync_labels=sync_labels)
-        return out.columns(table, labels)
+            self._stamp_gradient_sync(table, out, chunks)
+        return out.columns(table)
 
     def _stamp_chunks(self, table: _SlotTable, out: _Emission) -> _Chunks:
         """Place every scheduled chunk: stage-major, each stage in its
@@ -933,8 +915,13 @@ class GraphBuilder:
             dtype=np.intp, count=int(template_len.sum()))
         offset = np.arange(owner.size, dtype=np.intp) - entry[owner]
         device = stage[owner]
-        out.tasks(device, template_slots[template_start[unit_template][owner]
-                                         + offset])
+        units = (stage, chunk, micro_batch, backward, unit_template)
+        out.tasks(device,
+                  template_slots[template_start[unit_template][owner]
+                                 + offset],
+                  partial(_chunk_labels, units,
+                          [template.suffixes for template in templates],
+                          v > 1))
         # One compute-stream chain per stage (stages are contiguous).
         chained = np.flatnonzero(device[1:] == device[:-1])
         out.edges(chained, chained + 1)
@@ -949,8 +936,7 @@ class GraphBuilder:
             ends[name] = np.zeros((p, v, nmb), dtype=np.intp)
             ends[name][tuple(axis[mask] for axis in grid)] = values[mask]
         stage_tail = exit_[np.cumsum(per_stage) - 1]
-        return _Chunks(units=(*grid, backward, unit_template),
-                       templates=templates, template_of=template_of,
+        return _Chunks(templates=templates, template_of=template_of,
                        last_b=last_b, stage_tail=stage_tail, **ends)
 
     def _stamp_pipeline_comm(self, table: _SlotTable, out: _Emission,
@@ -973,10 +959,21 @@ class GraphBuilder:
         chunk = np.arange(v)[None, None, :]
         slot = np.array([table(f"pp:{hop}", KIND_PP_COMM, COMM_STREAM)
                          for hop in range(p - 1)], dtype=np.intp)
-        if self.phase is not None:
+        training = self.phase is None
+
+        def hop_labels():
+            for hop in range(p - 1):
+                for micro in range(nmb):
+                    for part in range(v):
+                        mid = "" if v == 1 else f"/c{part}"
+                        yield f"s{hop}->s{hop + 1}{mid}/F{micro}"
+                        if training:
+                            yield f"s{hop + 1}->s{hop}{mid}/B{micro}"
+
+        if not training:
             out.send_recv(boundary, slot[boundary],
                           f_exit[boundary, chunk, mb],
-                          f_entry[boundary + 1, chunk, mb])
+                          f_entry[boundary + 1, chunk, mb], hop_labels)
             return
         # Trailing axis: forward send, backward receive.
         out.send_recv(
@@ -985,8 +982,15 @@ class GraphBuilder:
             np.stack([f_exit[boundary, chunk, mb],
                       b_exit[boundary + 1, chunk, mb]], axis=-1),
             np.stack([f_entry[boundary + 1, chunk, mb],
-                      b_entry[boundary, chunk, mb]], axis=-1))
+                      b_entry[boundary, chunk, mb]], axis=-1),
+            hop_labels)
         if v > 1:
+            def wrap_labels():
+                for part in range(v - 1):
+                    for micro in range(nmb):
+                        yield f"s{p - 1}/c{part}->s0/c{part + 1}/F{micro}"
+                        yield f"s0/c{part + 1}->s{p - 1}/c{part}/B{micro}"
+
             chunk = np.arange(v - 1)[:, None]
             mb = np.arange(nmb)[None, :]
             out.send_recv(
@@ -995,12 +999,13 @@ class GraphBuilder:
                 np.stack([f_exit[p - 1, chunk, mb],
                           b_exit[0, chunk + 1, mb]], axis=-1),
                 np.stack([f_entry[0, chunk + 1, mb],
-                          b_entry[p - 1, chunk, mb]], axis=-1))
+                          b_entry[p - 1, chunk, mb]], axis=-1),
+                wrap_labels)
 
     def _stamp_gradient_sync(self, table: _SlotTable, out: _Emission,
-                             chunks: _Chunks, labels: list[str]) -> None:
+                             chunks: _Chunks) -> None:
         """DP gradient All-Reduces (Figure 5) and weight updates, per
-        stage, appending each task's label to ``labels``.
+        stage.
 
         A bucket's All-Reduce depends on the task that retires the
         bucket's gradients in the last micro-batch's backward (its
@@ -1014,6 +1019,7 @@ class GraphBuilder:
         last_b = chunks.last_b
         device: list[int] = []
         slot: list[int] = []
+        labels: list[str] = []
         source: list[int] = []
         target: list[int] = []
         task = out.num_tasks
@@ -1049,7 +1055,7 @@ class GraphBuilder:
             labels.append(f"s{stage}/weight_update")
             task += 1
         out.tasks(np.array(device, dtype=np.intp),
-                  np.array(slot, dtype=np.intp))
+                  np.array(slot, dtype=np.intp), lambda: labels)
         out.edges(np.array(source, dtype=np.intp),
                   np.array(target, dtype=np.intp))
 
