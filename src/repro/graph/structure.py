@@ -22,7 +22,7 @@ An iteration's task DAG exists in two forms:
 once over flat ``int`` lists, then does everything else with NumPy: the
 inverse permutation, the CSR remap into replay positions, and the
 first-appearance interning of kinds and timing slots. No per-task
-Python object is allocated except the ``children_view`` tuples the
+list, set or tuple is built except the ``children_view`` tuples the
 scalar replay loop iterates (tuples of ints, which the cyclic GC stops
 tracking after their first collection). Replays become a single array
 pass (:func:`repro.sim.engine.simulate_retimed`), and because the
