@@ -3,13 +3,15 @@
 import pytest
 
 from repro.config.model import ModelConfig
-from repro.config.parallelism import ParallelismConfig, TrainingConfig
-from repro.config.system import single_node
+from repro.config.parallelism import (ParallelismConfig, PipelineSchedule,
+                                      RecomputeMode, TrainingConfig)
+from repro.config.system import multi_node, single_node
 from repro.dse.cache import (CACHE_FORMAT_VERSION, PredictionCache,
                              fingerprint)
 from repro.dse.explorer import DesignPoint
 from repro.errors import ConfigError
 from repro.graph.builder import Granularity
+from repro.workload import InferenceWorkload
 
 
 @pytest.fixture
@@ -55,6 +57,59 @@ class TestFingerprint:
                            system.with_gpus(16), Granularity.STAGE) != base
         assert fingerprint(tiny_model, plan, A_TRAINING, system,
                            Granularity.OPERATOR) != base
+
+
+#: Cache keys pinned from the release before key assembly was memoised:
+#: every key on disk must keep resolving, so each stays byte-identical.
+FINGERPRINT_GOLDENS = {
+    "training": "078e1f6a684208c94783c5e864312c2f"
+                "114b0dc3eaeeab0ea9189c15dc7aeda3",
+    "interleaved": "75729809cd5ac2972f854fd3b4a41deb"
+                   "c881fdc5666f88b3a365e42095166953",
+    "zero3": "d3d78ab197869867d4404787abe5b13d"
+             "e359a6adf592bb93922e78bc2b7e109d",
+    "serving": "1958cecf7d6c04f8afbf588a10e345ba"
+               "55883e4335ee4c787c33cddf5c26e408",
+}
+
+
+def golden_keys(model):
+    """The pinned cases: a training plan, a ``v=2`` plan on a rail
+    fabric, a ZeRO-3 KERNEL plan, and a serving plan."""
+    return {
+        "training": fingerprint(
+            model, ParallelismConfig(tensor=2, data=2, pipeline=2),
+            A_TRAINING, single_node(), Granularity.STAGE),
+        "interleaved": fingerprint(
+            model, ParallelismConfig(tensor=1, data=4, pipeline=2,
+                                     micro_batch_size=2, virtual_stages=2),
+            TrainingConfig(global_batch_size=64, total_tokens=10**9),
+            multi_node(2, network="rail"), Granularity.OPERATOR),
+        "zero3": fingerprint(
+            model, ParallelismConfig(tensor=4, data=1, pipeline=2,
+                                     schedule=PipelineSchedule.GPIPE,
+                                     gradient_bucketing=False,
+                                     recompute=RecomputeMode.FULL,
+                                     sequence_parallel=True),
+            A_TRAINING, single_node(), Granularity.KERNEL, zero_stage=3),
+        "serving": fingerprint(
+            model, ParallelismConfig(tensor=2, data=2, pipeline=1), None,
+            single_node(), Granularity.STAGE,
+            workload=InferenceWorkload(4, 128, 32)),
+    }
+
+
+class TestFingerprintGoldens:
+    def test_keys_match_goldens(self, tiny_model):
+        assert golden_keys(tiny_model) == FINGERPRINT_GOLDENS
+
+    def test_repeated_and_equal_configs_match_goldens(self, tiny_model):
+        # A second pass over the same objects, and a pass over equal
+        # but distinct ones, must give the same bytes.
+        golden_keys(tiny_model)
+        assert golden_keys(tiny_model) == FINGERPRINT_GOLDENS
+        clone = ModelConfig(**tiny_model.to_dict())
+        assert golden_keys(clone) == FINGERPRINT_GOLDENS
 
 
 class TestCacheAccounting:
