@@ -105,6 +105,16 @@ def test_inference_dse_sweep_writes_store():
     result = explorer.explore(space=space, max_gpus=max_gpus)
     assert result.num_feasible > 0
 
+    # The per-node-count simulators share one lookup table, so the
+    # sweep profiles each distinct operator signature exactly once.
+    simulators = explorer._simulators.values()
+    assert len(simulators) > 1
+    tables = {id(sim.lookup): sim.lookup for sim in simulators}
+    signatures = set().union(*(table.tracer.stats.signatures
+                               for table in tables.values()))
+    assert sum(table.num_profiled for table in tables.values()) \
+        == len(signatures)
+
     # The vLLM trade-off at matched GPU counts: among equal-size
     # feasible plans, the lowest-TPOT plan is at least as TP-heavy as
     # the highest-throughput plan, which is at least as replica-heavy.

@@ -10,7 +10,7 @@ gradient bucketing (Figure 5) to overlap All-Reduce with backward compute.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Mapping
 
 from repro.config.model import ModelConfig
@@ -132,7 +132,10 @@ class ParallelismConfig:
         payloads (and the prediction-cache fingerprints hashed from
         them) are unchanged for every pre-interleaving plan.
         """
-        payload = asdict(self)
+        # Every field is a scalar or an enum, so a shallow dict in
+        # field order is what ``asdict`` would build, without its
+        # recursive deep copy.
+        payload = {name: getattr(self, name) for name in _PLAN_FIELDS}
         payload["schedule"] = self.schedule.value
         payload["recompute"] = self.recompute.value
         if self.virtual_stages == 1:
@@ -151,6 +154,9 @@ class ParallelismConfig:
             return cls(**raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid parallelism config: {exc}") from exc
+
+
+_PLAN_FIELDS = tuple(field.name for field in fields(ParallelismConfig))
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,32 @@ _AGG_MISSES = obs.metrics.counter("dse.prediction_cache.misses")
 CACHE_FORMAT_VERSION = 1
 
 
+#: Canonical JSON of recently fingerprinted configs, keyed by object
+#: identity (each entry holds its config, so an id is never reused
+#: while its entry lives). A sweep fingerprints every plan against the
+#: same model, recipe, workload and per-node-count system objects, so
+#: those are serialised once instead of once per plan.
+_CANONICAL: dict[int, tuple[Any, str]] = {}
+_CANONICAL_MAX = 64
+
+
+def _canonical(payload: Any) -> str:
+    """Sorted-key compact JSON, the form every key is hashed from."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _canonical_config(config: Any) -> str:
+    """:func:`_canonical` of a frozen config's ``to_dict()``, memoised."""
+    entry = _CANONICAL.get(id(config))
+    if entry is not None and entry[0] is config:
+        return entry[1]
+    text = _canonical(config.to_dict())
+    if len(_CANONICAL) >= _CANONICAL_MAX:
+        _CANONICAL.clear()
+    _CANONICAL[id(config)] = (config, text)
+    return text
+
+
 def fingerprint(model: ModelConfig, plan: ParallelismConfig,
                 training: TrainingConfig | None, system: SystemConfig,
                 granularity: Granularity, *, zero_stage: int = 1,
@@ -76,22 +102,26 @@ def fingerprint(model: ModelConfig, plan: ParallelismConfig,
     serialised form replaces the training recipe in the payload.
     Training predictions never add a ``workload`` key, so every
     pre-workload-abstraction cache key remains byte-identical.
+
+    The JSON object is joined from its members' canonical forms in
+    sorted key order, which is byte for byte what serialising the whole
+    payload would give; the frozen configs' forms are memoised.
     """
-    payload = {
-        "model": model.to_dict(),
-        "plan": plan.to_dict(),
-        "system": system.to_dict(),
-        "granularity": granularity.value,
-    }
-    if training is not None:
-        payload["training"] = training.to_dict()
-    if workload is not None:
-        payload["workload"] = workload.to_dict()
     if training is None and workload is None:
         raise ConfigError("fingerprint needs a training recipe or workload")
+    members = [
+        f'"granularity":{_canonical(granularity.value)}',
+        f'"model":{_canonical_config(model)}',
+        f'"plan":{_canonical(plan.to_dict())}',
+        f'"system":{_canonical_config(system)}',
+    ]
+    if training is not None:
+        members.append(f'"training":{_canonical_config(training)}')
+    if workload is not None:
+        members.append(f'"workload":{_canonical_config(workload)}')
     if zero_stage != 1:
-        payload["zero_stage"] = zero_stage
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        members.append(f'"zero_stage":{_canonical(zero_stage)}')
+    canonical = "{" + ",".join(members) + "}"
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -22,6 +22,8 @@ from repro.config.system import SystemConfig, multi_node
 from repro.cost.pricing import DEFAULT_PRICING, PricingModel
 from repro.errors import ConfigError, InfeasibleConfigError
 from repro.graph.builder import Granularity
+from repro.hardware.gpu import GPUSpec
+from repro.profiling.lookup import OperatorToTaskTable
 from repro.dse.space import (SearchSpace, enumerate_plans,
                              enumerate_serving_plans)
 from repro.sim.estimator import VTrain
@@ -255,10 +257,12 @@ class DSEResult:
 class DesignSpaceExplorer:
     """Sweeps plans for one model/training recipe.
 
-    A single profiling stack (device model, CUPTI tracer, lookup table,
-    NCCL tables) is shared across the sweep, so the whole exploration
-    profiles each necessary operator exactly once — the property that
-    makes the paper's "full design space in under 200 seconds" possible.
+    Plans run on one simulator per node count, since link timings
+    depend on the system. The simulators of one GPU share a single
+    profiling stack (device model, CUPTI tracer, necessary-operator
+    lookup table), so the whole exploration profiles each necessary
+    operator exactly once — the property that makes the paper's "full
+    design space in under 200 seconds" possible.
 
     Args:
         model: Target LLM.
@@ -303,23 +307,34 @@ class DesignSpaceExplorer:
         self.zero_stage = zero_stage
         self.custom_system_factory = system_factory
         self._simulators: dict[int, VTrain] = {}
+        self._systems: dict[int, SystemConfig] = {}
+        self._lookups: dict[GPUSpec, OperatorToTaskTable] = {}
 
     def system_for(self, num_gpus: int) -> SystemConfig:
         """The system a plan occupying ``num_gpus`` GPUs runs on (the
-        plan's node count rounded up to whole nodes)."""
+        plan's node count rounded up to whole nodes), built once per
+        node count."""
         nodes = max(1, -(-num_gpus // self.gpus_per_node))
-        if self.custom_system_factory is not None:
-            return self.custom_system_factory(nodes * self.gpus_per_node)
-        return multi_node(nodes, gpus_per_node=self.gpus_per_node,
-                          network=self.network)
+        system = self._systems.get(nodes)
+        if system is None:
+            if self.custom_system_factory is not None:
+                system = self.custom_system_factory(
+                    nodes * self.gpus_per_node)
+            else:
+                system = multi_node(nodes, gpus_per_node=self.gpus_per_node,
+                                    network=self.network)
+            self._systems[nodes] = system
+        return system
 
     def _simulator_for(self, num_gpus: int) -> VTrain:
         nodes = max(1, -(-num_gpus // self.gpus_per_node))
         simulator = self._simulators.get(nodes)
         if simulator is None:
-            simulator = VTrain(self.system_for(num_gpus),
-                               granularity=self.granularity,
-                               zero_stage=self.zero_stage)
+            system = self.system_for(num_gpus)
+            simulator = VTrain(system, granularity=self.granularity,
+                               zero_stage=self.zero_stage,
+                               lookup=self._lookups.get(system.gpu))
+            self._lookups.setdefault(system.gpu, simulator.lookup)
             self._simulators[nodes] = simulator
         return simulator
 

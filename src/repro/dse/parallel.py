@@ -25,11 +25,13 @@ workers run the same evaluation code on the same deterministic
 analytical device model, and results are merged by index.
 
 Each worker process hosts one long-lived
-:class:`~repro.dse.explorer.DesignSpaceExplorer`, so per-worker
-profiling state (the necessary-operator lookup table) and the
-compiled-structure cache (:func:`repro.graph.builder.
-structure_cache_stats`) warm once and are reused across every chunk
-that worker pulls.
+:class:`~repro.dse.explorer.DesignSpaceExplorer`, so its profiling state
+(one necessary-operator lookup table per GPU, shared by the explorer's
+per-node-count simulators) and the compiled-structure cache
+(:func:`repro.graph.builder.structure_cache_stats`) warm once and are
+reused across every chunk that worker pulls. A pooled sweep therefore
+profiles each necessary operator once per worker; an in-process sweep
+profiles it once.
 """
 
 from __future__ import annotations

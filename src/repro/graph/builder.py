@@ -598,16 +598,14 @@ class GraphBuilder:
         else:
             self.tp_ar = None
             self.tp_ar_time = 0.0
-        self.send_time: list[float] = []
-        for boundary in range(plan.pipeline - 1):
-            link = self.topology.pipeline_hop_link(boundary)
-            comm = pipeline_send_recv(b, s, h, link)
-            self.send_time.append(self.nccl.time(comm))
-        if self.v > 1:
-            link = self.topology.pipeline_wrap_link()
-            self.wrap_time = self.nccl.time(pipeline_send_recv(b, s, h, link))
-        else:
-            self.wrap_time = 0.0
+        hops = self.topology.pipeline_hop_links()
+        wrap = [self.topology.pipeline_wrap_link()] if self.v > 1 else []
+        # A Send-Receive's time depends only on its link, so each
+        # distinct link is timed once for every hop using it.
+        link_time = {link: self.nccl.time(pipeline_send_recv(b, s, h, link))
+                     for link in dict.fromkeys(hops + wrap)}
+        self.send_time = [link_time[link] for link in hops]
+        self.wrap_time = link_time[wrap[0]] if wrap else 0.0
 
     def _init_stage_params(self) -> None:
         """Per-stage parameter counts per GPU and gradient buckets."""
@@ -672,8 +670,11 @@ class GraphBuilder:
             ops = self._comp_ops = (
                 self.op_fwd_embed, self.op_fwd_mha, self.op_fwd_ffn,
                 self.op_fwd_head)
+        # One table lookup per operator; the STAGE chunk durations
+        # below read these instead of asking the table again.
+        self._op_time = {op.kind: self.lookup.duration_of(op) for op in ops}
         for op in ops:
-            timings[f"op:{op.kind.value}"] = self.lookup.duration_of(op)
+            timings[f"op:{op.kind.value}"] = self._op_time[op.kind]
         if self.granularity is Granularity.KERNEL:
             for op in ops:
                 for index, kernel in enumerate(self.lookup.tasks_for(op)):
@@ -721,11 +722,9 @@ class GraphBuilder:
                             duration = width * layer_dur
                             if (seg_index == 0 and stage == plan.pipeline - 1
                                     and chunk == self.v - 1):
-                                duration += self.lookup.duration_of(
-                                    self.op_bwd_head)
+                                duration += self._op_time[OpKind.BWD_LM_HEAD]
                             if bucket == 0 and stage == 0 and chunk == 0:
-                                duration += self.lookup.duration_of(
-                                    self.op_bwd_embed)
+                                duration += self._op_time[OpKind.BWD_EMBEDDING]
                             timings[self._slot("sbl", stage, chunk,
                                                bucket)] = duration
         self.timings = timings
@@ -1149,26 +1148,27 @@ class GraphBuilder:
     # ------------------------------------------------------------------
     def _forward_stage_duration(self, stage: int, chunk: int = 0) -> float:
         """Forward latency of one stage chunk (compute + TP AR)."""
-        dur = self.lpc * (self.lookup.duration_of(self.op_fwd_mha)
-                          + self.lookup.duration_of(self.op_fwd_ffn)
+        op_time = self._op_time
+        dur = self.lpc * (op_time[OpKind.FWD_MHA] + op_time[OpKind.FWD_FFN]
                           + 2 * self.tp_ar_time)
         if stage == 0 and chunk == 0:
-            dur += self.lookup.duration_of(self.op_fwd_embed) + self.tp_ar_time
+            dur += op_time[OpKind.FWD_EMBEDDING] + self.tp_ar_time
         if stage == self.plan.pipeline - 1 and chunk == self.v - 1:
-            dur += self.lookup.duration_of(self.op_fwd_head)
+            dur += op_time[OpKind.FWD_LM_HEAD]
         return dur
 
     def _backward_layer_duration(self) -> float:
         """Backward latency of one decoder layer (compute + TP AR)."""
-        return (self.lookup.duration_of(self.op_bwd_ffn)
-                + self.lookup.duration_of(self.op_bwd_mha)
+        op_time = self._op_time
+        return (op_time[OpKind.BWD_FFN] + op_time[OpKind.BWD_MHA]
                 + 2 * self.tp_ar_time)
 
     def _backward_stage_duration(self, stage: int, chunk: int = 0) -> float:
         """Backward latency of one stage chunk."""
+        op_time = self._op_time
         dur = self.lpc * self._backward_layer_duration()
         if stage == self.plan.pipeline - 1 and chunk == self.v - 1:
-            dur += self.lookup.duration_of(self.op_bwd_head)
+            dur += op_time[OpKind.BWD_LM_HEAD]
         if stage == 0 and chunk == 0:
-            dur += self.lookup.duration_of(self.op_bwd_embed)
+            dur += op_time[OpKind.BWD_EMBEDDING]
         return dur

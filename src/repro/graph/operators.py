@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.config.parallelism import RecomputeMode
 from repro.errors import ConfigError
@@ -100,9 +101,12 @@ class CompOperator:
         if self.kv_length < 0:
             raise ConfigError("kv_length must be non-negative")
 
-    @property
+    @cached_property
     def signature(self) -> tuple:
-        """Hashable profiling key — equal signature means equal kernels."""
+        """Hashable profiling key — equal signature means equal kernels.
+
+        Computed once per operator (the dataclass is frozen, so the key
+        cannot go stale)."""
         base = (self.kind.value, self.micro_batch, self.seq_length,
                 self.hidden_size, self.num_heads, self.tensor_parallel,
                 self.vocab_size, self.recompute.value, self.num_params)

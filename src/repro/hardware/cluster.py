@@ -124,6 +124,17 @@ class ClusterTopology:
         return (LinkType.INTRA_NODE if self.node_of(here) == self.node_of(there)
                 else LinkType.INTER_NODE)
 
+    def pipeline_hop_links(self) -> list[LinkType]:
+        """:meth:`pipeline_hop_link` of every boundary, in stage order.
+
+        Stage ``i`` of replica 0 starts at rank ``t * i``, so one pass
+        over the stage nodes answers every hop.
+        """
+        t, per_node = self.plan.tensor, self.system.gpus_per_node
+        nodes = [stage * t // per_node for stage in range(self.plan.pipeline)]
+        return [LinkType.INTRA_NODE if here == there else LinkType.INTER_NODE
+                for here, there in zip(nodes, nodes[1:])]
+
     def pipeline_wrap_link(self) -> LinkType:
         """Link type of the interleaved schedule's wrap-around hop.
 

@@ -17,29 +17,41 @@ from repro.profiling.cupti import CuptiTracer
 
 
 class OperatorToTaskTable:
-    """Caches operator -> (kernels, total duration), profiling on miss."""
+    """Caches operator -> (kernels, total duration), profiling on miss.
+
+    The table depends only on the device model its tracer profiles on,
+    so every simulator of one GPU can share it (see
+    :class:`~repro.dse.explorer.DesignSpaceExplorer`).
+    """
 
     def __init__(self, tracer: CuptiTracer) -> None:
-        self._tracer = tracer
-        self._table: dict[tuple, tuple[Kernel, ...]] = {}
+        self.tracer = tracer
+        self._table: dict[tuple, tuple[tuple[Kernel, ...], float]] = {}
         self._hits = 0
         self._misses = 0
 
+    def _entry(self, op: CompOperator) -> tuple[tuple[Kernel, ...], float]:
+        """``op``'s kernels and summed duration, profiling the first
+        representative of its signature only."""
+        key = op.signature
+        entry = self._table.get(key)
+        if entry is not None:
+            self._hits += 1
+            return entry
+        self._misses += 1
+        kernels = self.tracer.trace_operator(op)
+        entry = self._table[key] = (
+            kernels, sum(kernel.duration for kernel in kernels))
+        return entry
+
     def tasks_for(self, op: CompOperator) -> tuple[Kernel, ...]:
         """Kernels for ``op``, profiling the first representative only."""
-        key = op.signature
-        cached = self._table.get(key)
-        if cached is not None:
-            self._hits += 1
-            return cached
-        self._misses += 1
-        kernels = self._tracer.trace_operator(op)
-        self._table[key] = kernels
-        return kernels
+        return self._entry(op)[0]
 
     def duration_of(self, op: CompOperator) -> float:
-        """Total device time of ``op`` (its kernels run back-to-back)."""
-        return sum(kernel.duration for kernel in self.tasks_for(op))
+        """Total device time of ``op`` (its kernels run back-to-back),
+        summed once when the signature is first profiled."""
+        return self._entry(op)[1]
 
     # ------------------------------------------------------------------
     # Introspection (tested to demonstrate the O(1) property)

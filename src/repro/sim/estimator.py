@@ -31,7 +31,7 @@ from repro.config.parallelism import ParallelismConfig, TrainingConfig
 from repro.config.system import SystemConfig
 from repro.cost.pricing import (DEFAULT_PRICING, SECONDS_PER_DAY,
                                 SECONDS_PER_HOUR, PricingModel)
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.graph.builder import (Granularity, GraphBuilder,
                                  structure_cache_evict, structure_cache_get,
                                  structure_cache_put)
@@ -134,8 +134,12 @@ class VTrain:
             the paper's reported accuracy at a fraction of the task count;
             ``KERNEL`` is the paper's full task-granularity replay;
             ``STAGE`` is the fast mode used for Figure-10-scale sweeps.
-        device: Override the analytical device model (e.g. a testbed's
-            perturbed model).
+        lookup: A necessary-operator table to share with other
+            simulators of the same GPU (it holds only device timings),
+            so each operator signature is profiled once across all of
+            them. Its device model may be a perturbed one (e.g. a
+            testbed's), but must model ``system.gpu``. By default the
+            simulator profiles on a fresh table of its own.
         nccl: Override the communication model (e.g. with interference).
             When omitted, the model follows ``system.network``: the flat
             Equation-1 :class:`NcclModel` for ``flat`` (the default,
@@ -153,16 +157,23 @@ class VTrain:
 
     def __init__(self, system: SystemConfig, *,
                  granularity: Granularity = Granularity.OPERATOR,
-                 device: DeviceModel | None = None,
+                 lookup: OperatorToTaskTable | None = None,
                  nccl: NcclModel | None = None,
                  check_memory_feasibility: bool = True,
                  zero1_sharding: bool = True,
                  zero_stage: int | None = None) -> None:
         self.system = system
         self.granularity = granularity
-        self.device = device if device is not None else DeviceModel(system.gpu)
-        self.tracer = CuptiTracer(self.device)
-        self.lookup = OperatorToTaskTable(self.tracer)
+        if lookup is None:
+            lookup = OperatorToTaskTable(CuptiTracer(DeviceModel(system.gpu)))
+        elif lookup.tracer.device.spec != system.gpu:
+            raise ConfigError(
+                f"lookup table was profiled on "
+                f"{lookup.tracer.device.spec.name}, system has "
+                f"{system.gpu.name}")
+        self.lookup = lookup
+        self.tracer = lookup.tracer
+        self.device = lookup.tracer.device
         self.nccl = nccl if nccl is not None else nccl_model_for(system)
         self.check_memory_feasibility = check_memory_feasibility
         self.zero_stage = (zero_stage if zero_stage is not None
@@ -531,8 +542,9 @@ class VTrain:
     # ------------------------------------------------------------------
     @property
     def profiling_stats(self) -> dict[str, int]:
-        """Necessary-operator counters proving the O(1) profiling cost,
-        plus this instance's structure-cache hit/miss split."""
+        """Necessary-operator counters proving the O(1) profiling cost
+        (of the lookup table, which simulators given the same ``lookup``
+        share), plus this instance's structure-cache hit/miss split."""
         return {
             "operators_profiled": self.lookup.num_profiled,
             "lookups_served_from_table": self.lookup.num_reused,

@@ -69,6 +69,20 @@ class TestLinkClassification:
         assert topo.tensor_link() is LinkType.INTRA_NODE
         assert topo.data_link() is LinkType.INTRA_NODE
 
+    @pytest.mark.parametrize("gpus_per_node", [1, 3, 4, 8])
+    def test_pipeline_hop_links_match_single_hops(self, gpus_per_node):
+        """One pass equals asking each boundary, including node sizes
+        that do not divide ``t * p`` (stages straddle nodes)."""
+        for t in (1, 2, 4):
+            for d in (1, 3):
+                for p in (1, 2, 3, 5, 8):
+                    nodes = -(-t * d * p // gpus_per_node)
+                    topo = ClusterTopology(
+                        multi_node(nodes, gpus_per_node=gpus_per_node),
+                        ParallelismConfig(tensor=t, data=d, pipeline=p))
+                    assert topo.pipeline_hop_links() == [
+                        topo.pipeline_hop_link(i) for i in range(p - 1)]
+
     def test_pipeline_hop_bounds(self, figure3):
         with pytest.raises(ConfigError):
             figure3.pipeline_hop_link(2)

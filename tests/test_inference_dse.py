@@ -171,6 +171,47 @@ class TestServingExploration:
                 == [point.to_dict() for point in first.points])
 
 
+@pytest.fixture
+def node_spanning_sweep(tiny_model, workload):
+    """A serving sweep over 1-4 nodes of 2 GPUs: one simulator each."""
+    explorer = DesignSpaceExplorer(tiny_model, None, workload=workload,
+                                   gpus_per_node=2)
+    result = explorer.explore(space=SearchSpace(max_tensor=2,
+                                                max_pipeline=2),
+                              max_gpus=8)
+    assert len(explorer._simulators) >= 3
+    return explorer, result
+
+
+class TestSharedProfiling:
+    def test_sweep_profiles_each_necessary_operator_once(
+            self, node_spanning_sweep):
+        """Simulators for different node counts share one lookup table,
+        so the sweep traces each operator signature exactly once."""
+        explorer, result = node_spanning_sweep
+        assert result.num_feasible > 0
+        tables = {id(sim.lookup): sim.lookup
+                  for sim in explorer._simulators.values()}
+        assert len(tables) == 1
+        signatures = set().union(*(table.tracer.stats.signatures
+                                   for table in tables.values()))
+        profiled = sum(table.num_profiled for table in tables.values())
+        assert profiled == len(signatures) > 0
+
+    def test_shared_table_keeps_points_identical(self, tiny_model, workload,
+                                                 node_spanning_sweep):
+        """Sharing the table changes no answer: every point matches a
+        simulator of its node count that profiled on its own."""
+        explorer, result = node_spanning_sweep
+        for point in result.feasible_points:
+            alone = VTrain(explorer.system_for(point.num_gpus),
+                           granularity=Granularity.STAGE)
+            direct = alone.predict_inference(tiny_model, point.plan,
+                                             workload)
+            assert point.ttft_s == direct.time_to_first_token
+            assert point.tpot_s == direct.time_per_output_token
+
+
 class TestDesignPointCompat:
     def test_training_payload_has_no_workload_fields(self):
         point = DesignPoint(

@@ -162,6 +162,28 @@ class TestLookupTable:
         assert table.duration_of(op) == pytest.approx(
             sum(k.duration for k in table.tasks_for(op)))
 
+    def test_duration_is_the_kernel_sum_bit_for_bit(self):
+        """The stored sum is the one ``tasks_for`` would give, and a
+        ``duration_of`` counts one hit or miss like ``tasks_for``."""
+        ops = [mha(), ffn(), mha(OpKind.BWD_MHA, recompute=RecomputeMode.FULL),
+               CompOperator(OpKind.FWD_MHA, micro_batch=4, seq_length=1,
+                            hidden_size=512, num_heads=8, kv_length=160),
+               CompOperator(OpKind.FWD_LM_HEAD, micro_batch=2,
+                            seq_length=128, hidden_size=512, num_heads=8,
+                            vocab_size=32_000),
+               CompOperator(OpKind.WEIGHT_UPDATE, num_params=12_345_678)]
+        by_duration = OperatorToTaskTable(CuptiTracer(DeviceModel(A100_80GB)))
+        by_tasks = OperatorToTaskTable(CuptiTracer(DeviceModel(A100_80GB)))
+        for _ in range(2):
+            for op in ops:
+                duration = by_duration.duration_of(op)
+                assert duration == sum(k.duration
+                                       for k in by_tasks.tasks_for(op))
+                assert (by_duration.num_profiled, by_duration.num_reused) \
+                    == (by_tasks.num_profiled, by_tasks.num_reused)
+        assert by_duration.num_profiled == len(ops)
+        assert by_duration.num_reused == len(ops)
+
     def test_contains(self):
         table = OperatorToTaskTable(CuptiTracer(DeviceModel(A100_80GB)))
         op = mha()

@@ -5,13 +5,14 @@ import pytest
 from repro import obs
 from repro.config.description import InputDescription
 from repro.config.parallelism import ParallelismConfig, TrainingConfig
-from repro.config.system import single_node
+from repro.config.system import multi_node, single_node
 from repro.cost.pricing import PricingModel
-from repro.errors import InfeasibleConfigError
+from repro.errors import ConfigError, InfeasibleConfigError
 from repro.graph.builder import (Granularity, GraphBuilder,
                                  clear_structure_cache, structure_cache_get,
                                  structure_cache_put)
 from repro.graph.structure import COMPUTE_STREAM, FlatAssembler, KIND_COMPUTE
+from repro.hardware.gpu import H100_80GB
 from repro.sim.estimator import (VTrain, cost_for_utilization,
                                  training_days_for_utilization,
                                  training_estimate)
@@ -148,6 +149,28 @@ class TestProfilingAmortisation:
         assert after["operators_profiled"] == before
         assert after["lookups_served_from_table"] > \
             stats["lookups_served_from_table"]
+
+    def test_shared_lookup_profiles_nothing_new(self, tiny_model,
+                                                training):
+        """A simulator handed another's table reuses its profiles and
+        predicts exactly what a simulator of its own would."""
+        plan = ParallelismConfig(tensor=2, data=2, pipeline=2)
+        first = VTrain(single_node())
+        first.predict(tiny_model, plan, training)
+        profiled = first.lookup.num_profiled
+        system = multi_node(2)
+        shared = VTrain(system, lookup=first.lookup)
+        assert shared.tracer is first.tracer
+        assert shared.device is first.device
+        prediction = shared.predict(tiny_model, plan, training)
+        assert first.lookup.num_profiled == profiled
+        alone = VTrain(system).predict(tiny_model, plan, training)
+        assert prediction.iteration_time == alone.iteration_time
+
+    def test_lookup_for_another_gpu_is_rejected(self):
+        table = VTrain(single_node(gpu=H100_80GB)).lookup
+        with pytest.raises(ConfigError, match="H100"):
+            VTrain(single_node(), lookup=table)
 
     def test_structure_cache_amortises_graph_builds(self, tiny_model,
                                                     training):
