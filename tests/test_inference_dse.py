@@ -9,11 +9,14 @@ prediction-cache checkpoints must remain byte-identical.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 
 import pytest
 
 from repro.config.parallelism import ParallelismConfig, TrainingConfig
+from repro.config.presets import GPT3_175B
 from repro.config.system import single_node
 from repro.cost.pricing import DEFAULT_PRICING
 from repro.dse.cache import PredictionCache, fingerprint
@@ -210,6 +213,41 @@ class TestSharedProfiling:
                                              workload)
             assert point.ttft_s == direct.time_to_first_token
             assert point.tpot_s == direct.time_per_output_token
+
+
+#: SHA-256 of the GPT-3 175B serving DSE table (InferenceWorkload(32,
+#: 1024, 256), micro-batches 1/2/4/8, <= 256 GPUs: 2808 plans, 1656
+#: feasible), pinned before builder timing states were shared across
+#: plans. Every point's JSON payload, in enumeration order.
+GPT3_SERVING_TABLE_SHA256 = (
+    "fdb08ab6370eb6c582db4ca7339059b7a4cec924741636d5a98121e83a09eb2d")
+
+
+class TestServingTablePin:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_gpt3_serving_table_is_byte_identical(self, seed):
+        """The full serving sweep, in enumeration order or shuffled,
+        reproduces the pinned table byte for byte."""
+        workload = InferenceWorkload(32, 1024, 256)
+        plans = list(enumerate_serving_plans(
+            GPT3_175B, workload,
+            space=SearchSpace(micro_batch_sizes=(1, 2, 4, 8)),
+            max_gpus=256))
+        order = list(range(len(plans)))
+        if seed:
+            random.Random(seed).shuffle(order)
+        result = DesignSpaceExplorer(GPT3_175B, None,
+                                     workload=workload).explore(
+            plans=[plans[index] for index in order])
+        points = [None] * len(plans)
+        for point, index in zip(result.points, order):
+            points[index] = point
+        assert len(points) == 2808
+        assert sum(point.feasible for point in points) == 1656
+        payload = json.dumps([point.to_dict() for point in points],
+                             sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() \
+            == GPT3_SERVING_TABLE_SHA256
 
 
 class TestDesignPointCompat:
