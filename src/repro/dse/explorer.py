@@ -26,7 +26,8 @@ from repro.hardware.gpu import GPUSpec
 from repro.profiling.lookup import OperatorToTaskTable
 from repro.dse.space import (SearchSpace, enumerate_plans,
                              enumerate_serving_plans)
-from repro.sim.estimator import VTrain
+from repro.sim.estimator import VTrain, replay_makespans
+from repro.sim.results import serving_tokens_per_second
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dse.cache import PredictionCache
@@ -254,6 +255,52 @@ class DSEResult:
         return candidates
 
 
+def evaluate_serving(model: ModelConfig, workload,
+                     plans: list[ParallelismConfig],
+                     simulator_for: Callable[[ParallelismConfig], VTrain],
+                     ) -> list[DesignPoint]:
+    """Serving design points for ``plans``, in order.
+
+    Each plan is memory-checked and both of its phase graphs prepared
+    on ``simulator_for(plan)``; infeasible or structurally invalid
+    plans become ``feasible=False`` rows. The survivors' phases are
+    then replayed together by :func:`~repro.sim.estimator.
+    replay_makespans`, once per distinct (structure, durations) pair,
+    and every point is bit-identical to one built from
+    :meth:`VTrain.predict_inference`. The sweep explorer and the serve
+    daemon both evaluate serving plans here.
+    """
+    points: list[DesignPoint | None] = [None] * len(plans)
+    survivors = []
+
+    def phases():
+        # Lazily, so each prepared phase is dropped once replayed.
+        for position, plan in enumerate(plans):
+            try:
+                footprint, prepared = simulator_for(
+                    plan).prepare_inference_checked(model, plan, workload)
+            except (InfeasibleConfigError, ConfigError) as exc:
+                points[position] = DesignPoint(plan=plan, feasible=False,
+                                               infeasible_reason=str(exc),
+                                               workload="inference")
+                continue
+            survivors.append((position, footprint))
+            yield from prepared.values()  # prefill, then decode
+
+    makespans = replay_makespans(phases())
+    for index, (position, footprint) in enumerate(survivors):
+        plan = plans[position]
+        ttft, tpot = makespans[2 * index], makespans[2 * index + 1]
+        points[position] = DesignPoint(
+            plan=plan, feasible=True, iteration_time=tpot,
+            memory_gib=footprint.total / float(1 << 30),
+            workload="inference",
+            tokens_per_s=serving_tokens_per_second(workload.batch_size,
+                                                   plan.data, tpot),
+            ttft_s=ttft, tpot_s=tpot)
+    return points
+
+
 class DesignSpaceExplorer:
     """Sweeps plans for one model/training recipe.
 
@@ -343,7 +390,7 @@ class DesignSpaceExplorer:
         infeasible or structurally invalid plans — both become
         ``feasible=False`` rows, so one bad plan cannot abort a sweep)."""
         if self.workload is not None:
-            return self._evaluate_serving(plan)
+            return self._evaluate_serving_batch([plan])[0]
         simulator = self._simulator_for(plan.total_gpus)
         try:
             prediction = simulator.predict(self.model, plan, self.training)
@@ -356,24 +403,11 @@ class DesignSpaceExplorer:
             utilization=prediction.gpu_compute_utilization,
             memory_gib=prediction.memory_per_gpu / float(1 << 30))
 
-    def _evaluate_serving(self, plan: ParallelismConfig) -> DesignPoint:
-        """Evaluate one serving plan against the inference workload."""
-        simulator = self._simulator_for(plan.total_gpus)
-        try:
-            prediction = simulator.predict_inference(self.model, plan,
-                                                     self.workload)
-        except (InfeasibleConfigError, ConfigError) as exc:
-            return DesignPoint(plan=plan, feasible=False,
-                               infeasible_reason=str(exc),
-                               workload="inference")
-        return DesignPoint(
-            plan=plan, feasible=True,
-            iteration_time=prediction.decode_step_time,
-            memory_gib=prediction.memory_per_gpu / float(1 << 30),
-            workload="inference",
-            tokens_per_s=prediction.tokens_per_second,
-            ttft_s=prediction.prefill_time,
-            tpot_s=prediction.decode_step_time)
+    def _evaluate_serving_batch(self, plans: list[ParallelismConfig],
+                                ) -> list[DesignPoint]:
+        return evaluate_serving(
+            self.model, self.workload, plans,
+            lambda plan: self._simulator_for(plan.total_gpus))
 
     def evaluate_batch(self, plans: list[ParallelismConfig],
                        ) -> list[DesignPoint]:
@@ -382,16 +416,18 @@ class DesignSpaceExplorer:
         Points come back in ``plans`` order, bit-identical to
         ``[self.evaluate(p) for p in plans]``, and infeasible or
         structurally invalid plans still become ``feasible=False`` rows.
-        Serving plans replay their small phase graphs one by one.
-        Training survivors are prepared up front and handed to
+        Every plan is memory-checked and its survivors prepared first.
+        Training survivors are then handed to
         :meth:`VTrain.predict_prepared`, which stacks runs sharing one
         compiled structure into a single vectorized
-        :func:`~repro.sim.engine.simulate_retimed_batch` sweep.
+        :func:`~repro.sim.engine.simulate_retimed_batch` sweep; serving
+        survivors' phase graphs go to :func:`evaluate_serving`, which
+        replays each distinct one once.
         """
         with obs.span("dse.evaluate_batch", category="dse",
                       plans=len(plans)):
             if self.workload is not None:
-                points = [self._evaluate_serving(plan) for plan in plans]
+                points = self._evaluate_serving_batch(plans)
             else:
                 points = self._evaluate_training_batch(plans)
         obs.count("dse.plans_evaluated", len(plans))

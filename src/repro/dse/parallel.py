@@ -8,9 +8,11 @@ serving, one process or many — runs :func:`run_sweep`, which
 1. with a :class:`~repro.dse.cache.PredictionCache` or checkpoint,
    fingerprint each plan and take the cached points (a checkpoint left
    by an interrupted run is merged into the cache first);
-2. order what is left — training plans by structure affinity, so plans
-   sharing a compiled graph topology land in the same chunk; serving
-   plans keep enumeration order;
+2. order what is left so plans sharing work land in the same chunk:
+   training plans by structure affinity (a shared compiled graph
+   topology), serving plans by everything but their replica count
+   (their phase graphs, timings included, do not depend on it, so
+   such plans replay once per chunk);
 3. cut it into chunks and run
    :meth:`~repro.dse.explorer.DesignSpaceExplorer.evaluate_batch` on
    each, in-process at ``workers == 1`` or on a
@@ -130,6 +132,10 @@ def run_sweep(explorer: DesignSpaceExplorer,
             pending.sort(key=lambda index: (builder.structure_affinity(
                 explorer.model, plans[index], explorer.training,
                 explorer.granularity) or "~", index))
+        else:
+            pending.sort(key=lambda index: (
+                plans[index].tensor, plans[index].pipeline,
+                plans[index].micro_batch_size, index))
         done = total - len(pending)
         report(done)
 

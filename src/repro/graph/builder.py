@@ -51,10 +51,11 @@ overlap stays modelled.
 from __future__ import annotations
 
 import enum
+import operator
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Any, Callable, Iterable
 
@@ -206,6 +207,66 @@ def clear_structure_cache() -> None:
         _cached_tasks = 0
         for counter in (_CACHE_HITS, _CACHE_MISSES, _CACHE_EVICTIONS):
             counter.reset()
+
+
+# ---------------------------------------------------------------------------
+# Timing-state memo
+# ---------------------------------------------------------------------------
+# A builder's timing state — its operators, communication times, stage
+# parameters and timing table — is a pure function of the inputs
+# GraphBuilder._timing_key lists. Plans that differ only in what the
+# key leaves out (an inference plan's replica count, the node count of
+# a plain NcclModel's system) share one state, which every such builder
+# copies in instead of recomputing. The memo belongs to the lookup
+# table the state was timed against (``OperatorToTaskTable.
+# timing_states``), so simulators sharing a table share states and a
+# fresh table starts cold. Each memo is LRU-bounded by entry count and
+# guarded by its table's lock, like the structure cache above.
+
+#: Timing states kept per lookup table. A sweep meets each state in
+#: one run of plans (serving sweeps are ordered so that plans differing
+#: only in their replica count are adjacent), so a short LRU keeps
+#: every hit while holding well under a MiB of STAGE states.
+TIMING_STATE_ENTRIES = 128
+
+_TIMING_HITS = obs.metrics.counter("graph.timing_state.hits")
+_TIMING_MISSES = obs.metrics.counter("graph.timing_state.misses")
+_TIMING_EVICTIONS = obs.metrics.counter("graph.timing_state.evictions")
+
+#: Every plan field except ``data``: an inference phase's timings do
+#: not depend on its replica count.
+_REPLICA_FREE_PLAN = operator.attrgetter(
+    *(f.name for f in fields(ParallelismConfig) if f.name != "data"))
+
+
+def _timing_state_get(lookup: OperatorToTaskTable, key: tuple) -> dict | None:
+    """The memoised timing state for ``key`` (counts a hit or a miss)."""
+    with lookup.timing_states_lock:
+        state = lookup.timing_states.get(key)
+        if state is None:
+            _TIMING_MISSES.increment()
+            return None
+        lookup.timing_states.move_to_end(key)
+        _TIMING_HITS.increment()
+        return state
+
+
+def _timing_state_put(lookup: OperatorToTaskTable, key: tuple,
+                      state: dict) -> None:
+    """Memoise a timing state, LRU-evicting down to the entry bound."""
+    with lookup.timing_states_lock:
+        states = lookup.timing_states
+        states[key] = state
+        while len(states) > TIMING_STATE_ENTRIES:
+            states.popitem(last=False)
+            _TIMING_EVICTIONS.increment()
+
+
+def timing_state_stats() -> dict[str, int]:
+    """Process-wide hit/miss/eviction counts of the timing-state memos
+    (a view over the ``graph.timing_state.*`` obs counters)."""
+    return {"hits": _TIMING_HITS.value, "misses": _TIMING_MISSES.value,
+            "evictions": _TIMING_EVICTIONS.value}
 
 
 def structure_fingerprint(model: ModelConfig, plan: ParallelismConfig,
@@ -543,10 +604,42 @@ class GraphBuilder:
         self.v = plan.virtual_stages
         self.lpc = self.lps // self.v
         self.vocab = model.padded_vocab_size(plan.tensor)
-        self._init_operators()
-        self._init_comm_times()
-        self._init_stage_params()
-        self._init_timings()
+        key = self._timing_key()
+        state = _timing_state_get(lookup, key)
+        if state is None:
+            before = set(vars(self))
+            self._init_operators()
+            self._init_comm_times()
+            self._init_stage_params()
+            self._init_timings()
+            state = {name: value for name, value in vars(self).items()
+                     if name not in before}
+            _timing_state_put(lookup, key, state)
+        else:
+            # Shared with every builder of this key; never mutated.
+            vars(self).update(state)
+
+    def _timing_key(self) -> tuple:
+        """Every input the ``_init_*`` methods read, beyond the lookup
+        table the state is memoised on.
+
+        Training keys on the whole plan and training config; an
+        inference phase on the plan without its replica count, plus the
+        workload and phase. The links are the topology's answers rather
+        than the system, so systems that place a plan's groups alike
+        share a key; the NCCL model adds what its times depend on
+        (:meth:`~repro.profiling.nccl.NcclModel.timing_key`).
+        """
+        topology = self.topology
+        links = (topology.tensor_link(), tuple(topology.pipeline_hop_links()),
+                 topology.pipeline_wrap_link() if self.v > 1 else None)
+        if self.phase is None:
+            shape = (self.plan, self.training, topology.data_link(),
+                     topology.concurrent_data_groups_per_node())
+        else:
+            shape = (_REPLICA_FREE_PLAN(self.plan), self.workload, self.phase)
+        return (self.model, self.granularity, shape, links,
+                self.nccl.timing_key())
 
     # ------------------------------------------------------------------
     # Precomputation

@@ -104,16 +104,27 @@ class ClusterTopology:
                 else LinkType.INTER_NODE)
 
     def tensor_link(self) -> LinkType:
-        """Link type of tensor-parallel All-Reduces."""
-        if self.plan.tensor == 1:
+        """Link type of tensor-parallel All-Reduces.
+
+        Tensor group 0 holds ranks ``[0, t)``, so it stays on one node
+        exactly when ``t`` fits in one.
+        """
+        if self.plan.tensor <= self.system.gpus_per_node:
             return LinkType.INTRA_NODE
-        return self.group_link(self.tensor_group(0, 0))
+        return LinkType.INTER_NODE
 
     def data_link(self) -> LinkType:
-        """Link type of data-parallel gradient All-Reduces."""
-        if self.plan.data == 1:
+        """Link type of data-parallel gradient All-Reduces.
+
+        Data group 0 holds ranks ``0, tp, 2tp, ...`` (``tp = t * p``),
+        so it stays on one node exactly when its last rank
+        ``(d - 1) * t * p`` lies on node 0.
+        """
+        plan = self.plan
+        if (plan.data - 1) * plan.tensor * plan.pipeline \
+                < self.system.gpus_per_node:
             return LinkType.INTRA_NODE
-        return self.group_link(self.data_group(0, 0))
+        return LinkType.INTER_NODE
 
     def pipeline_hop_link(self, p_idx: int) -> LinkType:
         """Link type of the Send-Receive between stage p_idx and p_idx+1."""

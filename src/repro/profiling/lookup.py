@@ -11,6 +11,9 @@ naive cost is O(L x N_MB) profiles; the table makes it O(1).
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 from repro.graph.operators import CompOperator
 from repro.hardware.kernels import Kernel
 from repro.profiling.cupti import CuptiTracer
@@ -29,6 +32,11 @@ class OperatorToTaskTable:
         self._table: dict[tuple, tuple[tuple[Kernel, ...], float]] = {}
         self._hits = 0
         self._misses = 0
+        # Timing states of the graph builders timed against this table,
+        # LRU-ordered and bounded by repro.graph.builder, which owns
+        # their keys and accounting.
+        self.timing_states: OrderedDict[tuple, dict] = OrderedDict()
+        self.timing_states_lock = threading.Lock()
 
     def _entry(self, op: CompOperator) -> tuple[tuple[Kernel, ...], float]:
         """``op``'s kernels and summed duration, profiling the first

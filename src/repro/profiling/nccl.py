@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from dataclasses import replace
 
 from repro.config.system import SystemConfig
 from repro.errors import ConfigError
@@ -53,6 +54,27 @@ class NcclModel:
         self.system = system
         self.interference = interference
         self._tables: dict[int, tuple[list[float], list[float]]] = {}
+        self._sized_out: tuple[SystemConfig, SystemConfig] | None = None
+
+    def timing_key(self) -> object:
+        """Hashable stand-in for everything this model's times depend on.
+
+        Graph builders share timing state between plans whose keys
+        match (:class:`~repro.graph.builder.GraphBuilder`). This model
+        reads every system field except ``num_gpus``, so systems that
+        differ only in size share one key, and so do their node counts'
+        simulators. Any subclass may read more (the node count, extra
+        knobs), so a subclass instance is its own key: it shares timing
+        state only with itself.
+        """
+        if type(self) is not NcclModel:
+            return self
+        system = self.system
+        if self._sized_out is None or self._sized_out[0] is not system:
+            # (system, the system with num_gpus normalised away)
+            self._sized_out = (system,
+                               replace(system, num_gpus=system.gpus_per_node))
+        return self._sized_out[1], self.interference
 
     # ------------------------------------------------------------------
     # Intra-node profile table

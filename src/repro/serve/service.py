@@ -69,15 +69,18 @@ from repro.config.parallelism import TrainingConfig
 from repro.config.presets import MODEL_ZOO
 from repro.config.system import NetworkSpec
 from repro.dse.cache import PredictionCache, fingerprint
-from repro.dse.explorer import DesignPoint, DesignSpaceExplorer
+from repro.dse.explorer import (DesignPoint, DesignSpaceExplorer,
+                                evaluate_serving)
 from repro.dse.space import SearchSpace
 from repro.errors import ConfigError, InfeasibleConfigError, ReproError
 from repro.graph.builder import Granularity, structure_cache_stats
+from repro.hardware.gpu import GPUSpec
 from repro.obs.prometheus import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.obs.slo import SLOConfig, SLOTracker
 from repro.obs.stitch import wire_span
 from repro.obs.timeseries import ServingTimeSeries
 from repro.serve import protocol
+from repro.profiling.lookup import OperatorToTaskTable
 from repro.sim.estimator import VTrain
 from repro.workload import InferenceWorkload, workload_from_dict
 
@@ -203,6 +206,9 @@ class PredictionService:
         self._access_log_lock = threading.Lock()
 
         self._vtrains: dict[str, VTrain] = {}
+        # One necessary-operator table per GPU, shared by every resident
+        # simulator of that GPU (as in DesignSpaceExplorer).
+        self._lookups: dict[GPUSpec, OperatorToTaskTable] = {}
         self._vtrain_lock = threading.Lock()
         self._inflight: dict[str, _Job] = {}
         self._inflight_lock = threading.Lock()
@@ -288,15 +294,20 @@ class PredictionService:
 
     def _vtrain_for(self, description: InputDescription,
                     granularity: Granularity, zero_stage: int) -> VTrain:
-        """The resident simulator for one system/granularity/stage."""
-        key = json.dumps({"system": description.system.to_dict(),
+        """The resident simulator for one system/granularity/stage; the
+        simulators of one GPU share its lookup table, so each operator
+        signature is profiled once per GPU."""
+        system = description.system
+        key = json.dumps({"system": system.to_dict(),
                           "granularity": granularity.value,
                           "zero_stage": zero_stage}, sort_keys=True)
         with self._vtrain_lock:
             vtrain = self._vtrains.get(key)
             if vtrain is None:
-                vtrain = VTrain(description.system, granularity=granularity,
-                                zero_stage=zero_stage)
+                vtrain = VTrain(system, granularity=granularity,
+                                zero_stage=zero_stage,
+                                lookup=self._lookups.get(system.gpu))
+                self._lookups.setdefault(system.gpu, vtrain.lookup)
                 self._vtrains[key] = vtrain
             return vtrain
 
@@ -491,9 +502,12 @@ class PredictionService:
     def _execute_group(self, jobs: list[_Job]) -> None:
         """Predict one (model, training, system, granularity) group.
 
-        Plans inside a group that share a cached structure replay in a
-        single vectorized sweep via :meth:`VTrain.predict_prepared`.
-        Whatever happens, every job's latch fires.
+        Training plans inside a group that share a cached structure
+        replay in a single vectorized sweep via
+        :meth:`VTrain.predict_prepared`; serving plans go through
+        :func:`~repro.dse.explorer.evaluate_serving`, which replays each
+        distinct phase graph once. Whatever happens, every job's latch
+        fires.
         """
         model = jobs[0].description.model
         training = jobs[0].description.training
@@ -524,36 +538,30 @@ class PredictionService:
         vtrain = self._vtrain_for(jobs[0].description,
                                   jobs[0].granularity,
                                   jobs[0].zero_stage)
-        if jobs[0].workload is not None:
-            # Inference jobs: two small phase-graph replays each; the
-            # shared structure cache already collapses repeat
-            # topologies, so there is no batched-replay path to ride.
-            workload = jobs[0].workload
-            for job in jobs:
-                try:
-                    job.description.validate()
-                    prediction = vtrain.predict_inference(
-                        model, job.description.plan, workload)
-                except (InfeasibleConfigError, ConfigError) as exc:
-                    job.point = DesignPoint(plan=job.description.plan,
-                                            feasible=False,
-                                            infeasible_reason=str(exc),
-                                            workload="inference")
-                    continue
-                job.point = DesignPoint(
-                    plan=job.description.plan, feasible=True,
-                    iteration_time=prediction.decode_step_time,
-                    memory_gib=prediction.memory_per_gpu / GIB,
-                    workload="inference",
-                    tokens_per_s=prediction.tokens_per_second,
-                    ttft_s=prediction.prefill_time,
-                    tpot_s=prediction.decode_step_time)
-            return
-        survivors: list[_Job] = []
-        entries = []
+        workload = jobs[0].workload
+        valid: list[_Job] = []
         for job in jobs:
             try:
                 job.description.validate()
+            except (InfeasibleConfigError, ConfigError) as exc:
+                job.point = DesignPoint(
+                    plan=job.description.plan, feasible=False,
+                    infeasible_reason=str(exc),
+                    workload="training" if workload is None
+                    else "inference")
+                continue
+            valid.append(job)
+        if workload is not None:
+            points = evaluate_serving(
+                model, workload, [job.description.plan for job in valid],
+                lambda plan: vtrain)
+            for job, point in zip(valid, points):
+                job.point = point
+            return
+        survivors: list[_Job] = []
+        entries = []
+        for job in valid:
+            try:
                 footprint, prepared = vtrain.prepare_checked(
                     model, job.description.plan, training)
             except (InfeasibleConfigError, ConfigError) as exc:

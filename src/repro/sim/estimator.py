@@ -21,6 +21,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -360,28 +361,19 @@ class VTrain:
             InfeasibleConfigError: Structural violation, or (when memory
                 checking is enabled) weights + KV cache exceeding HBM.
         """
-        with self._stats_lock:
-            self.num_predictions += 1
         with obs.span(
                 "predict_inference",
                 plan=f"t{plan.tensor} d{plan.data} p{plan.pipeline}"):
-            with obs.span("memory_check"):
-                if self.check_memory_feasibility:
-                    footprint = check_inference_memory(model, plan, workload,
-                                                       self.system)
-                else:
-                    footprint = inference_memory_footprint(model, plan,
-                                                           workload)
+            footprint, prepared = self.prepare_inference_checked(
+                model, plan, workload)
             phases = {}
-            for phase in (PREFILL, DECODE):
-                prepared = self.prepare(model, plan, None,
-                                        workload=workload, phase=phase)
+            for phase, ready in prepared.items():
                 with obs.span("replay", phase=phase,
-                              tasks=prepared.structure.num_tasks):
+                              tasks=ready.structure.num_tasks):
                     phases[phase] = simulate_retimed(
-                        prepared.structure, prepared.durations,
+                        ready.structure, ready.durations,
                         record_timeline=record_timeline,
-                        metadata=prepared.metadata)
+                        metadata=ready.metadata)
         return InferencePrediction(
             prefill_time=phases[PREFILL].iteration_time,
             decode_step_time=phases[DECODE].iteration_time,
@@ -394,6 +386,35 @@ class VTrain:
             prefill_simulation=phases[PREFILL],
             decode_simulation=phases[DECODE],
         )
+
+    def prepare_inference_checked(
+            self, model: ModelConfig, plan: ParallelismConfig,
+            workload: InferenceWorkload,
+    ) -> tuple[MemoryFootprint, dict[str, PreparedPlan]]:
+        """:meth:`predict_inference`'s front half: the KV-aware memory
+        check, then both phase graphs prepared (prefill, then decode).
+
+        Infeasible plans raise before any graph work. Callers that
+        replay many plans' phases at once (the serving sweeps, see
+        :func:`replay_makespans`) call this per plan themselves.
+
+        Raises:
+            InfeasibleConfigError: Structural violation, or (when memory
+                checking is enabled) weights + KV cache exceeding HBM.
+        """
+        with self._stats_lock:
+            self.num_predictions += 1
+        with obs.span("memory_check"):
+            if self.check_memory_feasibility:
+                footprint = check_inference_memory(model, plan, workload,
+                                                   self.system)
+            else:
+                footprint = inference_memory_footprint(model, plan,
+                                                       workload)
+        return footprint, {phase: self.prepare(model, plan, None,
+                                               workload=workload,
+                                               phase=phase)
+                           for phase in (PREFILL, DECODE)}
 
     @staticmethod
     def _observe_replay(tasks: int, columns: int, elapsed: float) -> None:
@@ -553,6 +574,36 @@ class VTrain:
             "structure_cache_hits": self.structure_cache_hits,
             "structure_cache_misses": self.structure_cache_misses,
         }
+
+
+def replay_makespans(prepared: Iterable[PreparedPlan]) -> list[float]:
+    """The makespan of each prepared graph, in order, replaying each
+    distinct (structure, duration vector) pair once (``prepared`` is
+    consumed one graph at a time, so a generator keeps only the
+    distinct pairs alive).
+
+    Plans that differ only in what their graphs leave out — a serving
+    plan's replica count, or its node count when the links match — share
+    a cached structure and fill it with equal durations, so a serving
+    sweep's batch replays far fewer graphs than it has phases. The
+    scalar engine replays each pair: serving phase graphs are short
+    chains, on which the batched engine is slower.
+    """
+    makespans: dict[tuple[int, bytes], float] = {}
+    out = []
+    for ready in prepared:
+        key = (id(ready.structure), ready.durations.tobytes())
+        makespan = makespans.get(key)
+        if makespan is None:
+            tasks = ready.structure.num_tasks
+            tick = time.perf_counter()
+            with obs.span("replay", phase=ready.metadata.get("phase"),
+                          tasks=tasks):
+                makespan = makespans[key] = simulate_retimed(
+                    ready.structure, ready.durations).iteration_time
+            VTrain._observe_replay(tasks, 1, time.perf_counter() - tick)
+        out.append(makespan)
+    return out
 
 
 def training_estimate(model: ModelConfig, plan: ParallelismConfig,

@@ -168,9 +168,8 @@ class InferencePrediction:
     @property
     def tokens_per_second(self) -> float:
         """Aggregate output-token throughput across all replicas."""
-        if self.decode_step_time <= 0:
-            return 0.0
-        return self.batch_size * self.num_replicas / self.decode_step_time
+        return serving_tokens_per_second(self.batch_size, self.num_replicas,
+                                         self.decode_step_time)
 
     @property
     def request_latency(self) -> float:
@@ -214,3 +213,13 @@ class TrainingEstimate:
             "dollars_per_hour": self.dollars_per_hour,
             "dollars_total_millions": self.dollars_total / 1e6,
         }
+
+
+def serving_tokens_per_second(batch_size: int, num_replicas: int,
+                              decode_step_time: float) -> float:
+    """Aggregate output-token throughput of ``num_replicas`` replicas
+    each decoding ``batch_size`` sequences one step per
+    ``decode_step_time`` seconds (0 for a non-positive step time)."""
+    if decode_step_time <= 0:
+        return 0.0
+    return batch_size * num_replicas / decode_step_time

@@ -83,6 +83,25 @@ class TestLinkClassification:
                     assert topo.pipeline_hop_links() == [
                         topo.pipeline_hop_link(i) for i in range(p - 1)]
 
+    @pytest.mark.parametrize("gpus_per_node", [1, 2, 3, 4, 8])
+    def test_closed_form_links_match_groups(self, gpus_per_node):
+        """The closed-form tensor/data links equal the answer of their
+        group's rank list, and the NIC concurrency follows from them."""
+        for t in (1, 2, 3, 4, 8):
+            for d in (1, 2, 3, 5):
+                for p in (1, 2, 3, 4):
+                    nodes = -(-t * d * p // gpus_per_node)
+                    topo = ClusterTopology(
+                        multi_node(nodes, gpus_per_node=gpus_per_node),
+                        ParallelismConfig(tensor=t, data=d, pipeline=p))
+                    tensor = topo.group_link(topo.tensor_group(0, 0))
+                    data = topo.group_link(topo.data_group(0, 0))
+                    assert topo.tensor_link() is tensor
+                    assert topo.data_link() is data
+                    assert topo.concurrent_data_groups_per_node() == (
+                        1 if data is LinkType.INTRA_NODE
+                        else min(gpus_per_node, t * p))
+
     def test_pipeline_hop_bounds(self, figure3):
         with pytest.raises(ConfigError):
             figure3.pipeline_hop_link(2)
