@@ -9,17 +9,24 @@ preset:
   at matched GPU counts the TP-heavy plan wins time-per-output-token
   while the replica-heavy plan wins tokens/s — and snapshots the
   Pareto frontier over (tokens/s, cost per million output tokens) into
-  ``benchmarks/results/BENCH_inference_dse.json``.
+  ``benchmarks/results/BENCH_inference_dse.json``. It also counts the
+  sweep's work: each operator signature is profiled once, each
+  distinct builder timing state is computed once, and each batch
+  replays each distinct (structure, durations) pair once.
 
 * ``test_warm_decode_predict_latency_gate`` measures a warm
-  ``predict_inference`` (both phase structures already in the
-  process-wide structure cache, so the call is two duration refills
-  plus two compiled replays) against a cold one that compiles both
-  phase graphs from scratch. It asserts the warm path keeps a >= 2x
-  advantage, appends the ratio to the gated trajectory in the same
-  store, and fails if warm/cold regressed more than 25 % against the
-  committed baseline (``entries[0]``). The gated metric is a
-  same-process ratio, insensitive to absolute machine speed.
+  ``predict_inference`` (both phase structures in the process-wide
+  structure cache and the simulator's timing states memoised, so the
+  call is two duration refills plus two compiled replays) against a
+  cold one: a fresh ``VTrain`` (fresh lookup table and timing memo) on
+  a cleared structure cache, which compiles both phase graphs. Cold
+  and warm samples are interleaved and each side's median is taken.
+  It asserts the warm path keeps a >= 2x advantage, appends the ratio
+  to the gated trajectory in the same store, and fails if warm/cold
+  regressed more than 25 % against the committed baseline of the same
+  mode (the store's first quick entry for quick runs, its first full
+  entry otherwise). The gated metric is a same-process ratio,
+  insensitive to absolute machine speed.
 
 Set ``REPRO_BENCH_QUICK=1`` for the CI perf lane (smaller sweep, fewer
 timing rounds; the model stays GPT-3-sized so the gate measures the
@@ -28,17 +35,20 @@ real workload).
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
 from _helpers import emit_table
 
+import repro.sim.estimator as estimator
 from repro.config.parallelism import ParallelismConfig
 from repro.config.presets import GPT3_175B
 from repro.config.system import multi_node
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.space import SearchSpace
-from repro.graph.builder import Granularity, clear_structure_cache
+from repro.graph.builder import (Granularity, GraphBuilder,
+                                 clear_structure_cache)
 from repro.sim.estimator import VTrain
 from repro.workload import InferenceWorkload
 
@@ -77,33 +87,108 @@ def _save_store(store) -> None:
     BENCH_FILE.write_text(json.dumps(store, indent=1) + "\n")
 
 
+def _baselines(entries) -> dict[bool, int]:
+    """Index of each mode's baseline: its first entry."""
+    first: dict[bool, int] = {}
+    for index, entry in enumerate(entries):
+        first.setdefault(bool(entry["quick"]), index)
+    return first
+
+
 def _record_gate(gate_name, defaults, entry) -> None:
-    """Append a passing entry, always keeping ``entries[0]`` — the
-    committed baseline the regression gate compares against."""
+    """Append a passing entry, always keeping each mode's first entry —
+    the committed baselines the regression gate compares against."""
     store = _load_store()
     section = store["gates"].setdefault(gate_name,
                                         defaults | {"entries": []})
-    tail = section["entries"][1:] + [entry]
-    section["entries"] = (section["entries"][:1]
-                          + tail[-(TRAJECTORY_LIMIT - 1):])
+    entries = section["entries"] + [entry]
+    kept = sorted(_baselines(entries).values())
+    tail = [entry for index, entry in enumerate(entries)
+            if index not in kept]
+    section["entries"] = ([entries[index] for index in kept]
+                          + tail[-(TRAJECTORY_LIMIT - len(kept)):])
     _save_store(store)
 
 
 def _gate_baseline(gate_name):
+    """The committed baseline of this run's mode (quick runs compare
+    only with a quick baseline), or None."""
     section = _load_store()["gates"].get(gate_name)
-    if section is None or not section["entries"]:
+    if section is None:
         return None
-    return section["entries"][0]
+    index = _baselines(section["entries"]).get(QUICK)
+    return None if index is None else section["entries"][index]
 
 
-def test_inference_dse_sweep_writes_store():
+class _SweepCounters:
+    """Counts a sweep's builder inits and replays against the distinct
+    work they stand for, per ``evaluate_batch`` call."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.timing_keys: set = set()
+        self.timing_inits = 0
+        self.replays = 0
+        self.distinct_pairs = 0
+        self._pairs: set | None = None
+        counters = self
+
+        def timing_key(builder):
+            key = original_key(builder)
+            counters.timing_keys.add((id(builder.lookup), key))
+            return key
+
+        def init_timings(builder):
+            counters.timing_inits += 1
+            return original_init(builder)
+
+        def prepare(vtrain, *args, **kwargs):
+            prepared = original_prepare(vtrain, *args, **kwargs)
+            if counters._pairs is not None:
+                counters._pairs.add((id(prepared.structure),
+                                     prepared.durations.tobytes()))
+            return prepared
+
+        def replay(*args, **kwargs):
+            counters.replays += 1
+            return original_replay(*args, **kwargs)
+
+        def evaluate_batch(explorer, plans):
+            counters._pairs = set()
+            try:
+                return original_batch(explorer, plans)
+            finally:
+                counters.distinct_pairs += len(counters._pairs)
+                counters._pairs = None
+
+        original_key = GraphBuilder._timing_key
+        original_init = GraphBuilder._init_timings
+        original_prepare = VTrain.prepare
+        original_replay = estimator.simulate_retimed
+        original_batch = DesignSpaceExplorer.evaluate_batch
+        monkeypatch.setattr(GraphBuilder, "_timing_key", timing_key)
+        monkeypatch.setattr(GraphBuilder, "_init_timings", init_timings)
+        monkeypatch.setattr(VTrain, "prepare", prepare)
+        monkeypatch.setattr(estimator, "simulate_retimed", replay)
+        monkeypatch.setattr(DesignSpaceExplorer, "evaluate_batch",
+                            evaluate_batch)
+
+
+def test_inference_dse_sweep_writes_store(monkeypatch):
     """TP x PP serving sweep on GPT-3; snapshot the Pareto frontier."""
     max_gpus = 16 if QUICK else 32
     space = SearchSpace(max_tensor=8, max_data=2 if QUICK else 4,
                         max_pipeline=8)
     explorer = DesignSpaceExplorer(GPT3_175B, None, workload=WORKLOAD)
+    counters = _SweepCounters(monkeypatch)
     result = explorer.explore(space=space, max_gpus=max_gpus)
+    monkeypatch.undo()
     assert result.num_feasible > 0
+
+    # Each distinct timing state is computed once (none is evicted
+    # before its last use), and each batch replays each distinct
+    # (structure, durations) pair once.
+    assert counters.timing_inits == len(counters.timing_keys)
+    assert counters.replays == counters.distinct_pairs
 
     # The per-node-count simulators share one lookup table, so the
     # sweep profiles each distinct operator signature exactly once.
@@ -170,23 +255,30 @@ def test_inference_dse_sweep_writes_store():
 
 
 def test_warm_decode_predict_latency_gate():
-    """Warm predict_inference (structure-cache hit) vs cold compile."""
-    rounds = 3 if QUICK else 5
+    """Warm predict_inference (structure cache and timing memo hit) vs
+    a cold one on a fresh simulator and an empty structure cache."""
+    rounds = 5 if QUICK else 9
     system = multi_node(GATE_PLAN.total_gpus // 8)
-    vtrain = VTrain(system, granularity=Granularity.OPERATOR)
+    warm = VTrain(system, granularity=Granularity.OPERATOR)
+    prediction = warm.predict_inference(GPT3_175B, GATE_PLAN, WORKLOAD)
 
-    clear_structure_cache()
-    cold_s = _timed(lambda: vtrain.predict_inference(GPT3_175B, GATE_PLAN,
-                                                     WORKLOAD))
-    prediction = vtrain.predict_inference(GPT3_175B, GATE_PLAN, WORKLOAD)
-    warm_s = min(_timed(lambda: vtrain.predict_inference(
-        GPT3_175B, GATE_PLAN, WORKLOAD)) for _ in range(rounds))
+    cold_samples, warm_samples = [], []
+    for _ in range(rounds):
+        clear_structure_cache()
+        cold = VTrain(system, granularity=Granularity.OPERATOR)
+        cold_samples.append(_timed(lambda: cold.predict_inference(
+            GPT3_175B, GATE_PLAN, WORKLOAD)))
+        warm_samples.append(_timed(lambda: warm.predict_inference(
+            GPT3_175B, GATE_PLAN, WORKLOAD)))
+    cold_s = statistics.median(cold_samples)
+    warm_s = statistics.median(warm_samples)
 
     speedup = cold_s / warm_s
     ratio = warm_s / cold_s
     entry = {
         "quick": QUICK,
         "tasks": prediction.decode_simulation.num_tasks,
+        "samples": rounds,
         "cold_predict_s": round(cold_s, 6),
         "warm_predict_s": round(warm_s, 6),
         "speedup": round(speedup, 3),
@@ -199,9 +291,11 @@ def test_warm_decode_predict_latency_gate():
                [entry | {"baseline_ratio":
                          baseline["warm_over_cold"] if baseline
                          else entry["warm_over_cold"]}],
-               notes="warm = KV memory check + two duration refills + "
-                     "two compiled replays on the cached prefill/decode "
-                     "structures; cold compiles both phase graphs")
+               notes="medians of interleaved samples; warm = KV memory "
+                     "check + two duration refills + two compiled "
+                     "replays on the cached prefill/decode structures; "
+                     "cold = a fresh simulator compiling both phase "
+                     "graphs")
 
     assert speedup >= MIN_WARM_SPEEDUP, (
         f"warm predict_inference only {speedup:.2f}x faster than a cold "

@@ -121,6 +121,37 @@ class TestServingExploration:
         assert point.tpot_s == direct.time_per_output_token
         assert point.tokens_per_s == direct.tokens_per_second
 
+    def test_batch_replays_each_distinct_phase_once(self, tiny_model,
+                                                    workload, monkeypatch):
+        """Plans differing only in their replica count (d >= 2) share
+        both phase graphs and their durations, so a batch replays them
+        once; every point still equals a direct predict_inference, and
+        an over-budget plan still fails alone."""
+        import repro.sim.estimator as estimator
+
+        plans = [ParallelismConfig(tensor=2, data=d, pipeline=1)
+                 for d in (1, 2, 3, 4)]
+        plans.append(ParallelismConfig(tensor=2, data=2, pipeline=3))
+        replays = []
+        replay = estimator.simulate_retimed
+        monkeypatch.setattr(estimator, "simulate_retimed",
+                            lambda *a, **k: replays.append(1) or replay(
+                                *a, **k))
+        explorer = DesignSpaceExplorer(tiny_model, None, workload=workload)
+        points = explorer.evaluate_batch(plans)
+        monkeypatch.undo()
+        # d == 1 has its own structures (the fingerprint's dp flag).
+        assert len(replays) == 4
+        assert [point.feasible for point in points] == [True] * 4 + [False]
+        for point in points[:4]:
+            direct = VTrain(explorer.system_for(point.num_gpus),
+                            granularity=Granularity.STAGE).predict_inference(
+                tiny_model, point.plan, workload)
+            assert point.ttft_s == direct.time_to_first_token
+            assert point.tpot_s == direct.time_per_output_token
+            assert point.tokens_per_s == direct.tokens_per_second
+            assert point.memory_gib == direct.memory_per_gpu / float(1 << 30)
+
     def test_tp_buys_latency_replicas_buy_throughput(self, serving_result):
         """The vLLM trade-off at equal GPU count: the TP-heavy plan has
         the lower TPOT, the replica-heavy plan the higher tokens/s."""

@@ -247,6 +247,21 @@ class TestServiceBatching:
         assert "result" in rows[0]
         assert rows[1]["error"]["code"] == protocol.INFEASIBLE
 
+    def test_simulators_of_one_gpu_share_one_table(self, service):
+        """Resident simulators that differ only in ZeRO stage profile on
+        one lookup table, so each operator signature is profiled once."""
+        description = tiny_description()
+        zero0 = service._vtrain_for(description, Granularity.OPERATOR, 0)
+        zero1 = service._vtrain_for(description, Granularity.OPERATOR, 1)
+        assert zero0 is not zero1
+        assert zero0.lookup is zero1.lookup
+        for zero_stage in (0, 1):
+            service.predict({"description": description.to_dict(),
+                             "granularity": "operator",
+                             "zero_stage": zero_stage})
+        table = zero0.lookup
+        assert table.num_profiled == len(table.tracer.stats.signatures) > 0
+
     def test_batched_jobs_flow_through_batch_counters(self, service):
         descriptions = [tiny_description(tensor=2, data=2, pipeline=2),
                         tiny_description(tensor=1, data=4, pipeline=2)]
@@ -748,6 +763,32 @@ class TestInferenceServing:
         assert payload["tpot_s"] == direct.time_per_output_token
         assert payload["tokens_per_s"] == direct.tokens_per_second
         assert payload["num_replicas"] == description.plan.data
+
+    def test_batch_matches_direct_and_fails_bad_plans_alone(self,
+                                                            service):
+        """A flush of serving plans (one of them invalid) answers each
+        exactly like a direct predict_inference."""
+        from repro.workload import InferenceWorkload
+        descriptions = [tiny_description(tensor=2, data=2, pipeline=2),
+                        tiny_description(tensor=2, data=4, pipeline=1),
+                        tiny_description(tensor=2, data=2, pipeline=3),
+                        tiny_description(tensor=4, data=2, pipeline=1)]
+        rows = service.predict_batch({"requests": [
+            {"description": d.to_dict(), "workload": self.workload_dict()}
+            for d in descriptions]})["results"]
+        assert rows[2]["error"]["code"] == protocol.INFEASIBLE
+        vtrain = VTrain(descriptions[0].system,
+                        granularity=service.default_granularity)
+        workload = InferenceWorkload.from_dict(self.workload_dict())
+        for index in (0, 1, 3):
+            direct = vtrain.predict_inference(
+                descriptions[index].model, descriptions[index].plan,
+                workload)
+            result = rows[index]["result"]
+            assert result["ttft_s"] == direct.time_to_first_token
+            assert result["tpot_s"] == direct.time_per_output_token
+            assert result["tokens_per_s"] == direct.tokens_per_second
+            assert result["memory_per_gpu"] == direct.memory_per_gpu
 
     def test_repeat_is_served_from_cache(self, service):
         description = tiny_description()
