@@ -134,7 +134,7 @@ class _SweepCounters:
 
         def timing_key(builder):
             key = original_key(builder)
-            counters.timing_keys.add((id(builder.lookup), key))
+            counters.timing_keys.add((builder.lookup, key))
             return key
 
         def init_timings(builder):
@@ -144,7 +144,7 @@ class _SweepCounters:
         def prepare(vtrain, *args, **kwargs):
             prepared = original_prepare(vtrain, *args, **kwargs)
             if counters._pairs is not None:
-                counters._pairs.add((id(prepared.structure),
+                counters._pairs.add((prepared.structure,
                                      prepared.durations.tobytes()))
             return prepared
 

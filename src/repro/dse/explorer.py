@@ -326,9 +326,10 @@ class DesignSpaceExplorer:
             feasibility filter (default 1, ZeRO-1 optimizer sharding).
         workload: An :class:`~repro.workload.InferenceWorkload` turns
             the sweep into a serving exploration — plans come from
-            :func:`repro.dse.space.enumerate_serving_plans`, each is
-            evaluated by :meth:`VTrain.predict_inference`, and
-            ``training`` may be ``None``.
+            :func:`repro.dse.space.enumerate_serving_plans`, they are
+            evaluated by :func:`evaluate_serving` (the answers of
+            :meth:`VTrain.predict_inference`), and ``training`` may be
+            ``None``.
     """
 
     def __init__(self, model: ModelConfig,

@@ -589,10 +589,12 @@ def replay_makespans(prepared: Iterable[PreparedPlan]) -> list[float]:
     scalar engine replays each pair: serving phase graphs are short
     chains, on which the batched engine is slower.
     """
-    makespans: dict[tuple[int, bytes], float] = {}
+    # Keyed on the structure itself (identity hash), which keeps it
+    # alive, so its id cannot be reused by a later structure.
+    makespans: dict[tuple[GraphStructure, bytes], float] = {}
     out = []
     for ready in prepared:
-        key = (id(ready.structure), ready.durations.tobytes())
+        key = (ready.structure, ready.durations.tobytes())
         makespan = makespans.get(key)
         if makespan is None:
             tasks = ready.structure.num_tasks

@@ -11,6 +11,10 @@ node count, another training plan.
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -183,6 +187,23 @@ class TestKeySeparation:
                None, lookup, nccl, Granularity.STAGE)
         assert timing_state_stats()["misses"] == misses + 1
 
+    def test_phases_and_training_do_not_share(self, small_model):
+        """One plan's training, prefill and decode states are three
+        states, each equal to a fresh build's."""
+        system = multi_node(2, gpus_per_node=4)
+        plan = ParallelismConfig(tensor=2, data=2, pipeline=2)
+        lookup, nccl = _table(), NcclModel(system)
+        misses = timing_state_stats()["misses"]
+        for phase in (None, PREFILL, DECODE):
+            built = _build(small_model, system, plan, phase, lookup, nccl,
+                           Granularity.STAGE)
+            fresh = _build(small_model, system, plan, phase, _table(),
+                           NcclModel(system), Granularity.STAGE)
+            assert list(built.timings.items()) \
+                == list(fresh.timings.items())
+        # Three shared-table misses plus three fresh-table misses.
+        assert timing_state_stats()["misses"] == misses + 6
+
     def test_flat_key_ignores_only_the_gpu_count(self):
         small, large = multi_node(1), multi_node(16)
         assert NcclModel(small).timing_key() == NcclModel(large).timing_key()
@@ -216,3 +237,54 @@ class TestBound:
         misses = timing_state_stats()["misses"]
         VTrain(system).predict(small_model, plan, TRAINING)
         assert timing_state_stats()["misses"] == misses + 1
+
+
+class TestConcurrency:
+    def test_racing_builders_share_one_memo(self, small_model, monkeypatch):
+        """Eight threads (more than cores) build decode graphs on one
+        table whose memo holds fewer states than they use: every
+        builder still equals a fresh build, every build counts one hit
+        or one miss, and the memo never outgrows its bound."""
+        monkeypatch.setattr(builder_module, "TIMING_STATE_ENTRIES", 4)
+        system = multi_node(4, gpus_per_node=4)
+        lookup, nccl = _table(), NcclModel(system)
+        plans = [ParallelismConfig(tensor=t, data=d, pipeline=p)
+                 for t in (1, 2, 4) for d in (1, 2) for p in (1, 2)]
+        expected = {plan: list(_build(small_model, system, plan, DECODE,
+                                      _table(), NcclModel(system),
+                                      Granularity.STAGE).timings.items())
+                    for plan in plans}
+        rounds, workers = 20, 8
+        errors: list[str] = []
+        sizes: list[int] = []
+
+        def work(seed: int) -> None:
+            order = plans * rounds
+            random.Random(seed).shuffle(order)
+            for plan in order:
+                built = _build(small_model, system, plan, DECODE, lookup,
+                               nccl, Granularity.STAGE)
+                if list(built.timings.items()) != expected[plan]:
+                    errors.append(f"{plan.way}: timings differ")
+                sizes.append(len(lookup.timing_states))
+
+        before = timing_state_stats()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,))
+                       for seed in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        after = timing_state_stats()
+        assert (after["hits"] - before["hits"]
+                + after["misses"] - before["misses"]) \
+            == rounds * workers * len(plans)
+        assert max(sizes) <= 4
+
