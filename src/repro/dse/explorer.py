@@ -28,6 +28,7 @@ from repro.dse.space import (SearchSpace, enumerate_plans,
                              enumerate_serving_plans)
 from repro.sim.estimator import VTrain, replay_makespans
 from repro.sim.results import serving_tokens_per_second
+from repro.workload import InferenceWorkload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dse.cache import PredictionCache
@@ -255,7 +256,7 @@ class DSEResult:
         return candidates
 
 
-def evaluate_serving(model: ModelConfig, workload,
+def evaluate_serving(model: ModelConfig, workload: InferenceWorkload,
                      plans: list[ParallelismConfig],
                      simulator_for: Callable[[ParallelismConfig], VTrain],
                      ) -> list[DesignPoint]:

@@ -226,9 +226,9 @@ def clear_structure_cache() -> None:
 #: Timing states kept per lookup table. A sweep meets each state in
 #: one run of plans (serving sweeps are ordered so that plans differing
 #: only in their replica count are adjacent), so a short LRU keeps
-#: every hit; where states never repeat (a daemon answering distinct
-#: models) it holds a few hundred KiB at most.
-TIMING_STATE_ENTRIES = 32
+#: every hit; where states never repeat (a training sweep, a daemon
+#: answering distinct models) it holds about 0.25 MiB at most.
+TIMING_STATE_ENTRIES = 8
 
 _TIMING_HITS = obs.metrics.counter("graph.timing_state.hits")
 _TIMING_MISSES = obs.metrics.counter("graph.timing_state.misses")

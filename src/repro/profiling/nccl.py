@@ -54,7 +54,8 @@ class NcclModel:
         self.system = system
         self.interference = interference
         self._tables: dict[int, tuple[list[float], list[float]]] = {}
-        self._sized_out: tuple[SystemConfig, SystemConfig] | None = None
+        # The system with its size normalised away (see timing_key).
+        self._sized_out = replace(system, num_gpus=system.gpus_per_node)
 
     def timing_key(self) -> object:
         """Hashable stand-in for everything this model's times depend on.
@@ -69,12 +70,7 @@ class NcclModel:
         """
         if type(self) is not NcclModel:
             return self
-        system = self.system
-        if self._sized_out is None or self._sized_out[0] is not system:
-            # (system, the system with num_gpus normalised away)
-            self._sized_out = (system,
-                               replace(system, num_gpus=system.gpus_per_node))
-        return self._sized_out[1], self.interference
+        return self._sized_out, self.interference
 
     # ------------------------------------------------------------------
     # Intra-node profile table

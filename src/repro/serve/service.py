@@ -79,8 +79,8 @@ from repro.obs.prometheus import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.obs.slo import SLOConfig, SLOTracker
 from repro.obs.stitch import wire_span
 from repro.obs.timeseries import ServingTimeSeries
-from repro.serve import protocol
 from repro.profiling.lookup import OperatorToTaskTable
+from repro.serve import protocol
 from repro.sim.estimator import VTrain
 from repro.workload import InferenceWorkload, workload_from_dict
 
