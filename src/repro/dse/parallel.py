@@ -10,9 +10,9 @@ serving, one process or many — runs :func:`run_sweep`, which
    by an interrupted run is merged into the cache first);
 2. order what is left so plans sharing work land in the same chunk:
    training plans by structure affinity (a shared compiled graph
-   topology), serving plans by everything but their replica count
-   (their phase graphs, timings included, do not depend on it, so
-   such plans replay once per chunk);
+   topology), serving plans by (t, p, m) (their phase graphs, timings
+   included, do not depend on the replica count, so plans differing
+   only in d replay once per chunk);
 3. cut it into chunks and run
    :meth:`~repro.dse.explorer.DesignSpaceExplorer.evaluate_batch` on
    each, in-process at ``workers == 1`` or on a
